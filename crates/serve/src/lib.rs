@@ -88,7 +88,7 @@ pub use protocol::{
     Envelope, ErrorCode, ErrorReply, PredictSpec, Request, SimulateSpec, PROTOCOL_VERSION,
 };
 pub use retry::{CallError, RetryPolicy, RetryingClient};
-pub use ring::{HashRing, HotTracker};
+pub use ring::HashRing;
 pub use router::{start_router, RouterConfig, RouterController, RouterHandle};
 pub use server::{start, ServeConfig, ServerHandle};
 pub use shard::{spawn_tier, ShardEvent, SupervisorConfig, TierHandle, TierSpec};

@@ -1,4 +1,4 @@
-//! Consistent-hash ring and hot-key tracking for the shard tier.
+//! Consistent-hash ring for the shard tier.
 //!
 //! The router places every work request on a shard by its 128-bit
 //! [`Fingerprint`] — the same canonical key the memo caches and
@@ -19,18 +19,6 @@
 //! Hashing reuses [`FingerprintBuilder`] (SipHash-flavored 128-bit) for
 //! both vnode points and keys, folded to 64 bits; no new hash code, no
 //! new dependency.
-//!
-//! # Hot keys
-//!
-//! Sweep-shaped clients hammer a handful of fingerprints (a Pareto front
-//! being polled, a dashboard refreshing one scenario). Pinning a viral
-//! key to one shard turns that shard into the tier's ceiling, so the
-//! router tracks per-key frequency in a fixed-size direct-mapped table
-//! ([`HotTracker`] — no allocation, no unbounded growth) and, past a
-//! threshold, fans a hot key out over its first `R` ring successors
-//! round-robin. Replicating *hot* keys is cheap precisely because they
-//! are hot: every replica's first miss warms its own memo cache and every
-//! later hit is served locally.
 
 use doppio_engine::{Fingerprint, FingerprintBuilder};
 
@@ -159,63 +147,6 @@ impl HashRing {
     }
 }
 
-/// A fixed-size, direct-mapped request-frequency sketch.
-///
-/// `slots` entries, each holding one key and a saturating count; a new
-/// key colliding into an occupied slot *replaces* it (count restarts at
-/// 1), so sustained heavy hitters dominate their slot while one-off keys
-/// wash through. Every `window` observations all counts halve, aging out
-/// yesterday's viral scenario. Deliberately deterministic — no clocks,
-/// no RNG — so tests can drive it exactly.
-#[derive(Debug)]
-pub struct HotTracker {
-    slots: Vec<(u128, u32)>,
-    /// Count at which a key is declared hot; 0 disables tracking.
-    threshold: u32,
-    /// Observations between decay passes.
-    window: u32,
-    seen: u32,
-}
-
-impl HotTracker {
-    /// A tracker declaring keys hot at `threshold` observations
-    /// (0 = never), over `slots` direct-mapped entries, halving counts
-    /// every `window` observations.
-    pub fn new(threshold: u32, slots: usize, window: u32) -> HotTracker {
-        HotTracker {
-            slots: vec![(0, 0); slots.max(1)],
-            threshold,
-            window: window.max(1),
-            seen: 0,
-        }
-    }
-
-    /// Records one observation of `fp`; returns whether the key is now
-    /// considered hot.
-    pub fn observe(&mut self, fp: &Fingerprint) -> bool {
-        if self.threshold == 0 {
-            return false;
-        }
-        self.seen += 1;
-        if self.seen >= self.window {
-            self.seen = 0;
-            for (_, count) in &mut self.slots {
-                *count /= 2;
-            }
-        }
-        let key = fp.as_u128();
-        let idx = (fold(key) as usize) % self.slots.len();
-        let (slot_key, count) = &mut self.slots[idx];
-        if *slot_key == key {
-            *count = count.saturating_add(1);
-        } else {
-            *slot_key = key;
-            *count = 1;
-        }
-        *count >= self.threshold
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,40 +229,6 @@ mod tests {
                 after == before || after == 2,
                 "key {i} moved {before} -> {after} without involving the recovered shard"
             );
-        }
-    }
-
-    #[test]
-    fn hot_tracker_declares_sustained_keys_hot() {
-        let mut t = HotTracker::new(3, 64, 1_000);
-        let k = fp(42);
-        assert!(!t.observe(&k));
-        assert!(!t.observe(&k));
-        assert!(t.observe(&k), "third observation crosses threshold 3");
-        // A different key maps to its own slot and starts cold.
-        assert!(!t.observe(&fp(43)));
-    }
-
-    #[test]
-    fn hot_tracker_decays_counts_over_the_window() {
-        let mut t = HotTracker::new(4, 64, 8);
-        let k = fp(1);
-        for _ in 0..3 {
-            t.observe(&k);
-        }
-        // Push unrelated keys through to trigger the decay pass.
-        for i in 10..20 {
-            t.observe(&fp(i));
-        }
-        // After halving, the key needs to re-earn its heat.
-        assert!(!t.observe(&k));
-    }
-
-    #[test]
-    fn disabled_tracker_never_marks_hot() {
-        let mut t = HotTracker::new(0, 8, 8);
-        for _ in 0..100 {
-            assert!(!t.observe(&fp(5)));
         }
     }
 }

@@ -5,15 +5,17 @@
 //! difference — same envelope in, bit-identical reply line out. What it
 //! does per work request:
 //!
-//! 1. **Place** — fingerprint the request (the cache/singleflight key the
-//!    shards themselves use) and look its owner up on the consistent-hash
+//! 1. **Answer** — fingerprint the request (the cache/singleflight key the
+//!    shards themselves use) and look it up in the router's own result
+//!    cache. A hit is answered on the reactor thread; see *Router cache*.
+//! 2. **Place** — look the key's owner up on the consistent-hash
 //!    [`HashRing`]. Every identical request lands on the same shard, so
 //!    that shard's memo cache concentrates all the heat for its keys.
-//! 2. **Coalesce** — a router-side [`Singleflight`] collapses concurrent
+//! 3. **Coalesce** — a router-side [`Singleflight`] collapses concurrent
 //!    identical requests into one upstream call; riders get the same
 //!    payload with `"coalesced": true`, exactly as a single process would
 //!    have answered them.
-//! 3. **Forward** — a pool worker walks the key's ring-successor list.
+//! 4. **Forward** — a pool worker walks the key's ring-successor list.
 //!    Each shard sits behind its own [`CircuitBreaker`] (PR 5's failure
 //!    containment, promoted from client-side policy to tier topology): an
 //!    open breaker is skipped in microseconds, a transport failure trips
@@ -21,18 +23,27 @@
 //!    *would own the key* if the dead one left the ring. Semantic replies
 //!    (`ok`, `eval_failed`, `deadline_exceeded`, …) never fail over: the
 //!    shard is alive and retrying elsewhere would just duplicate work.
-//! 4. **Splice** — the shard's reply carries the forwarding id; the
+//! 5. **Splice** — the shard's reply carries the forwarding id; the
 //!    router re-addresses it per waiter by splicing the *verbatim*
 //!    `result` bytes ([`extract_result_payload`]) into a fresh reply
 //!    line. No JSON re-rendering touches the payload, which is how
 //!    `tests/serve_identity.rs` can demand bit-identity at every shard
 //!    count.
 //!
-//! **Hot keys**: a [`HotTracker`] watches request frequency; past the
-//! threshold a key fans out round-robin over its first `hot_replicas`
-//! ring successors. Each replica's first miss warms its own cache, after
-//! which the tier serves the key at replica-sum throughput instead of
-//! being capped by one shard.
+//! **Router cache**: the spliced payload of every `ok` forward is kept in
+//! a bounded [`MemoCache`] (capacity [`RouterConfig::cache_capacity`],
+//! the same LRU type and fingerprint key as a shard's cache), and a
+//! repeat is answered on the reactor thread with the exact line a shard's
+//! cache hit renders — no forward job, shard socket or thread wake-up.
+//! Error replies are never cached, so a transient failure cannot poison
+//! a key. Nothing owner-pinned is cached either: `observe` is an ingest,
+//! not a replayable result, and a corrected `predict` depends on corrector
+//! state that only its owner shard holds. Both bypass the cache entirely.
+//! Uncorrected results are pure functions of their fingerprint, so a
+//! cached payload can never go stale. This cache replaced hot-key fan-out
+//! (spreading a hot key over several replica shards): once a repeat never
+//! leaves the router, no shard is a hot key's ceiling, and the router hop
+//! it saves was most of a cached request's latency.
 //!
 //! **Self-healing**: the router keeps *two* rings. The full-membership
 //! ring never changes and pins learner-state requests to their owner
@@ -68,7 +79,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use doppio_engine::json::{Object, Value};
-use doppio_engine::{Fingerprint, FingerprintBuilder, Fingerprintable, SubmitError, TaskPool};
+use doppio_engine::{
+    Fingerprint, FingerprintBuilder, Fingerprintable, MemoCache, SubmitError, TaskPool,
+};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::client::{Client, ClientConfig, Reply};
@@ -77,7 +90,7 @@ use crate::protocol::{
     ErrorReply, Request,
 };
 use crate::reactor::{self, ConnFault, ConnHandler, ReactorConfig, ReactorShared, ReplyHandle};
-use crate::ring::{HashRing, HotTracker};
+use crate::ring::HashRing;
 use crate::shard::ShardEvent;
 use crate::singleflight::Singleflight;
 
@@ -97,12 +110,8 @@ pub struct RouterConfig {
     pub shards: Vec<SocketAddr>,
     /// Virtual nodes per shard on the ring.
     pub vnodes: u32,
-    /// Observations of one fingerprint before it is treated as hot
-    /// (0 disables hot-key replication).
-    pub hot_threshold: u32,
-    /// Distinct shards a hot key fans out over (round-robin). Clamped to
-    /// the shard count; 1 means tracking without fan-out.
-    pub hot_replicas: usize,
+    /// Router result-cache capacity in entries (0 = unbounded).
+    pub cache_capacity: usize,
     /// Forwarding worker threads (each does blocking shard round-trips).
     pub workers: usize,
     /// Bound on queued forwards; beyond it requests shed `overloaded`.
@@ -147,8 +156,7 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".into(),
             shards: Vec::new(),
             vnodes: crate::ring::DEFAULT_VNODES,
-            hot_threshold: 0,
-            hot_replicas: 2,
+            cache_capacity: 4096,
             workers: 4,
             queue_bound: 256,
             default_deadline_ms: None,
@@ -185,8 +193,6 @@ struct RouterCounters {
     deadline_exceeded: AtomicU64,
     bad_requests: AtomicU64,
     reaped: AtomicU64,
-    /// Requests routed through the hot-key fan-out path.
-    hot_routed: AtomicU64,
     /// Hedge races launched (a second copy actually sent).
     hedged: AtomicU64,
     /// Hedge races the hedge leg won.
@@ -363,9 +369,8 @@ struct RouterInner {
     /// of a successor lookup or a membership flip.
     active_ring: Mutex<HashRing>,
     pools: Vec<ShardPool>,
-    hot: Mutex<HotTracker>,
-    /// Round-robin cursor for hot-key fan-out.
-    rr: AtomicU64,
+    /// Spliced `ok` payloads by request fingerprint (see *Router cache*).
+    cache: MemoCache<Fingerprint, Arc<str>>,
     pool: Mutex<Option<TaskPool>>,
     flights: Singleflight<Waiter>,
     counters: RouterCounters,
@@ -429,15 +434,7 @@ pub fn start_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
             .iter()
             .map(|&addr| ShardPool::new(addr, cfg.breaker))
             .collect(),
-        // 1024 slots is generous for "a handful of hot scenarios"; the
-        // window scales with threshold so heat must be sustained, not
-        // merely accumulated.
-        hot: Mutex::new(HotTracker::new(
-            cfg.hot_threshold,
-            1024,
-            cfg.hot_threshold.saturating_mul(64).max(256),
-        )),
-        rr: AtomicU64::new(0),
+        cache: crate::server::reply_cache(cfg.cache_capacity),
         pool: Mutex::new(Some(TaskPool::new(cfg.workers, cfg.queue_bound))),
         flights: Singleflight::new(),
         counters: RouterCounters::default(),
@@ -784,7 +781,8 @@ fn submit_error_reply(inner: &Arc<RouterInner>, e: SubmitError) -> ErrorReply {
     }
 }
 
-/// Admission for work requests: fingerprint, coalesce, queue a forward.
+/// Admission for work requests: answer from the cache, or fingerprint,
+/// coalesce and queue a forward.
 fn route_work(
     inner: &Arc<RouterInner>,
     writer: &ReplyHandle,
@@ -795,7 +793,6 @@ fn route_work(
     let deadline = deadline_ms
         .or(inner.cfg.default_deadline_ms)
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let fp = request.fingerprint();
 
     if inner.shared.is_draining() {
         writer.send_line(&error_reply_line(
@@ -807,17 +804,21 @@ fn route_work(
 
     // Learner-state requests are pinned to the workload's owner shard:
     // no failover (another shard holds no — or different — corrector
-    // state), no hot fan-out, and no router-side coalescing (two
+    // state), no router cache and no router-side coalescing (two
     // identical observations are two ingests).
     if let Some(owner_fp) = learn_owner_fingerprint(&request) {
         route_owned(inner, writer, id, deadline, request, owner_fp);
         return;
     }
 
-    // The hot tracker runs on the reactor thread (every request passes
-    // through), so the route order is decided before coalescing: riders
-    // joining an in-flight hot key still heat the tracker.
-    let order = shard_order(inner, &fp);
+    // Cache hit: the same line a shard's own hit renders, sent from the
+    // reactor thread.
+    let fp = request.fingerprint();
+    if let Some(payload) = inner.cache.get(&fp) {
+        writer.send_line(&ok_reply_line(&id, true, false, &payload));
+        return;
+    }
+    let order = lock_recover(&inner.active_ring).successors(&fp, inner.pools.len());
 
     let waiter = Waiter {
         id,
@@ -961,24 +962,6 @@ fn forward_single(
     }
 }
 
-/// The shard order to try for `fp`: ring successors, with the head
-/// rotated round-robin over the first `hot_replicas` when the key is hot.
-/// Failover candidates (the tail) keep ring order either way.
-fn shard_order(inner: &Arc<RouterInner>, fp: &Fingerprint) -> Vec<u32> {
-    let mut order = lock_recover(&inner.active_ring).successors(fp, inner.pools.len());
-    let hot = lock_recover(&inner.hot).observe(fp);
-    if hot {
-        let replicas = inner.cfg.hot_replicas.max(1).min(order.len());
-        let k = (inner.rr.fetch_add(1, Ordering::Relaxed) as usize) % replicas;
-        if k > 0 {
-            let chosen = order.remove(k);
-            order.insert(0, chosen);
-        }
-        inner.counters.hot_routed.fetch_add(1, Ordering::Relaxed);
-    }
-    order
-}
-
 /// Worker-side forwarding of one flight. Exactly one reply per waiter.
 fn forward_flight(
     inner: &Arc<RouterInner>,
@@ -1004,14 +987,24 @@ fn forward_flight(
     }
 
     let outcome = try_shards(inner, request, deadline, order);
+    // An ok payload is cached before the flight completes, so a request
+    // arriving after the flight is gone finds the cache warm.
+    let payload = outcome
+        .as_ref()
+        .filter(|reply| reply.ok)
+        .and_then(|reply| extract_result_payload(&reply.raw))
+        .map(Arc::<str>::from);
+    if let Some(payload) = &payload {
+        inner.cache.insert(fp, Arc::clone(payload));
+    }
     let waiters = inner.flights.complete(&fp);
     match outcome {
         Some(reply) if reply.ok => {
             // Splice the verbatim result bytes under each waiter's id.
             // `extract_result_payload` cannot fail on a reply our own
             // shards rendered; the fallback covers a hand-rolled upstream.
-            match extract_result_payload(&reply.raw) {
-                Some(payload) => reply_ok_to_all(inner, waiters, reply.cached, payload),
+            match payload {
+                Some(payload) => reply_ok_to_all(inner, waiters, reply.cached, &payload),
                 None => {
                     let err = ErrorReply::new(
                         ErrorCode::Internal,
@@ -1436,7 +1429,7 @@ fn stats_payload(inner: &Arc<RouterInner>) -> Object {
     router.put_u64("unroutable", c.unroutable.load(Ordering::Relaxed));
     router.put_u64("shed", c.shed.load(Ordering::Relaxed));
     router.put_u64("coalesced", c.coalesced.load(Ordering::Relaxed));
-    router.put_u64("hot_routed", c.hot_routed.load(Ordering::Relaxed));
+    router.put_obj("cache", crate::server::cache_stats(&inner.cache));
     router.put_u64("hedged", c.hedged.load(Ordering::Relaxed));
     router.put_u64("hedge_wins", c.hedge_wins.load(Ordering::Relaxed));
     router.put_u64(

@@ -281,6 +281,28 @@ impl ConnHandler for Core {
     }
 }
 
+/// The rendered-payload cache a shard and the router both answer hits
+/// from, keyed by request fingerprint: `capacity` entries, 0 = unbounded.
+pub(crate) fn reply_cache(capacity: usize) -> MemoCache<Fingerprint, Arc<str>> {
+    if capacity == 0 {
+        MemoCache::unbounded()
+    } else {
+        MemoCache::with_capacity(capacity)
+    }
+}
+
+/// The `stats` view of a reply cache: `{hits, misses, evictions, len,
+/// capacity}`.
+pub(crate) fn cache_stats(cache: &MemoCache<Fingerprint, Arc<str>>) -> Object {
+    let mut o = Object::new();
+    o.put_u64("hits", cache.hits());
+    o.put_u64("misses", cache.misses());
+    o.put_u64("evictions", cache.evictions());
+    o.put_u64("len", cache.len() as u64);
+    o.put_u64("capacity", cache.capacity() as u64);
+    o
+}
+
 /// Starts a server per `cfg` and returns its handle.
 ///
 /// # Errors
@@ -290,11 +312,7 @@ impl ConnHandler for Core {
 pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let cache = if cfg.cache_capacity == 0 {
-        MemoCache::unbounded()
-    } else {
-        MemoCache::with_capacity(cfg.cache_capacity)
-    };
+    let cache = reply_cache(cfg.cache_capacity);
     let shared = ReactorShared::new()?;
     let rcfg = ReactorConfig {
         max_line_bytes: cfg.max_line_bytes,
@@ -960,13 +978,7 @@ fn stats_payload(inner: &Arc<Inner>) -> Object {
     let (observations, corrector_version) = learn_counters(inner);
     o.put_u64("observations", observations);
     o.put_u64("corrector_version", corrector_version);
-    let mut cache = Object::new();
-    cache.put_u64("hits", inner.cache.hits());
-    cache.put_u64("misses", inner.cache.misses());
-    cache.put_u64("evictions", inner.cache.evictions());
-    cache.put_u64("len", inner.cache.len() as u64);
-    cache.put_u64("capacity", inner.cache.capacity() as u64);
-    o.put_obj("cache", cache);
+    o.put_obj("cache", cache_stats(&inner.cache));
     o.put_bool("draining", inner.shared.is_draining());
     o
 }

@@ -7,13 +7,17 @@
 //! exercised by the repo-level chaos suite; here a "dead shard" is a
 //! drained handle whose listener is gone.
 
+use std::net::SocketAddr;
 use std::time::Duration;
 
+use doppio_engine::json::Value;
 use doppio_engine::Fingerprintable;
+use doppio_learn::RunObservation;
+use doppio_serve::protocol::extract_result_payload;
 use doppio_serve::ring::DEFAULT_VNODES;
 use doppio_serve::{
-    start, start_router, BreakerConfig, Client, Envelope, HashRing, Request, RouterConfig,
-    ServeConfig, ServerHandle, SimulateSpec,
+    start, start_router, BreakerConfig, Client, Envelope, HashRing, PredictSpec, Request,
+    RouterConfig, ServeConfig, ServerHandle, SimulateSpec,
 };
 use doppio_workloads::Workload;
 
@@ -58,6 +62,19 @@ fn whatif(rate: f64) -> Request {
     }
 }
 
+/// `n` distinct what-if keys that a ring over `shards` shards places on
+/// `owner`. A repeated key is answered from the router's cache, so tests
+/// that need every request to reach one particular shard send these.
+fn keys_owned_by(owner: usize, shards: u32, n: usize) -> Vec<Request> {
+    let ids: Vec<u32> = (0..shards).collect();
+    let ring = HashRing::new(&ids, DEFAULT_VNODES);
+    (1..)
+        .map(|i| whatif(f64::from(i) / 1000.0))
+        .filter(|r| ring.shard_for(&r.fingerprint()) as usize == owner)
+        .take(n)
+        .collect()
+}
+
 fn simulate() -> Request {
     Request::Simulate(SimulateSpec {
         workload: Workload::Terasort,
@@ -69,6 +86,23 @@ fn simulate() -> Request {
         inject: None,
         fault_seed: 7,
     })
+}
+
+/// One endpoint's `stats` payload, over a fresh connection.
+fn stats_of(addr: SocketAddr) -> Value {
+    let mut c = Client::connect(addr).expect("stats client");
+    c.call(Request::Stats, Some(5_000))
+        .expect("stats reply")
+        .result
+        .expect("stats payload")
+}
+
+/// The counter at `path` (nested object keys) of a stats payload.
+fn stat_at(v: &Value, path: &[&str]) -> u64 {
+    path.iter()
+        .try_fold(v, |v, key| v.get(key))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("stats missing {}", path.join(".")))
 }
 
 /// The raw reply line through the router must equal the raw line a
@@ -105,7 +139,7 @@ fn routed_replies_are_bit_identical_to_direct_serving() {
                 "routed reply diverges from direct serving (pass {pass})"
             );
             if pass == 1 {
-                assert!(got.cached, "second pass is a shard cache hit");
+                assert!(got.cached, "second pass is a cache hit");
             }
         }
     }
@@ -167,51 +201,172 @@ fn concurrent_identical_requests_coalesce_at_the_router() {
     );
 }
 
-/// Past the hot threshold, one key is served by more than one shard:
-/// both replicas evaluate (and then cache) it.
+/// A repeated key is answered from the router's own cache: no shard sees
+/// it a second time, and the reply line is byte for byte the one a single
+/// process renders for its own cache hit.
 #[test]
-fn hot_keys_fan_out_across_replicas() {
+fn repeated_keys_are_answered_at_the_router_without_a_shard() {
+    let control = start(shard_config()).expect("control server starts");
     let shards = spawn_shards(2);
-    let router = router_over(&shards, |cfg| {
-        cfg.hot_threshold = 3;
-        cfg.hot_replicas = 2;
-    });
+    let router = router_over(&shards, |_| {});
+    let mut direct = Client::connect(control.addr()).expect("direct client");
+    let mut routed = Client::connect(router.addr()).expect("routed client");
+    let mut pass = |id: &str| {
+        let env = Envelope {
+            id: id.into(),
+            deadline_ms: None,
+            request: simulate(),
+        };
+        direct.send(&env).expect("direct send");
+        let want = direct.recv().expect("direct reply").expect("direct line");
+        routed.send(&env).expect("routed send");
+        let got = routed.recv().expect("routed reply").expect("routed line");
+        (want, got)
+    };
+    let shard_counters = || -> Vec<(u64, u64)> {
+        shards
+            .iter()
+            .map(|s| {
+                let v = stats_of(s.addr());
+                (stat_at(&v, &["completed"]), stat_at(&v, &["cache", "hits"]))
+            })
+            .collect()
+    };
+
+    let (_, first) = pass("repeat-0");
+    assert!(first.ok && !first.cached, "the first pass is forwarded");
+    let shards_before = shard_counters();
+    let router_before = stats_of(router.addr());
+
+    let (want, got) = pass("repeat-1");
+    assert!(got.ok && got.cached, "the repeat is a cache hit");
+    assert_eq!(got.raw, want.raw, "router cache hit diverges from direct");
+    assert_eq!(
+        shard_counters(),
+        shards_before,
+        "the repeat reached a shard"
+    );
+    let router_after = stats_of(router.addr());
+    let moved = |path: &[&str]| stat_at(&router_after, path) - stat_at(&router_before, path);
+    assert_eq!(moved(&["router", "cache", "hits"]), 1);
+    assert_eq!(moved(&["router", "forwarded"]), 0);
+}
+
+/// Error replies are never cached: the same failing request is forwarded
+/// again, so a transient failure cannot poison its key at the router.
+#[test]
+fn failed_replies_are_not_cached_at_the_router() {
+    let shards = vec![start(ServeConfig {
+        panic_seed: Some(42), // simulate()'s seed: every evaluation panics
+        ..shard_config()
+    })
+    .expect("shard starts")];
+    let router = router_over(&shards, |_| {});
     let mut client = Client::connect(router.addr()).expect("client connects");
-
-    for _ in 0..16 {
-        let reply = client.call(whatif(0.33), Some(10_000)).expect("reply");
-        assert!(reply.ok, "hot request fails: {:?}", reply.error_message);
+    for i in 0..2 {
+        let reply = client.call(simulate(), Some(10_000)).expect("reply");
+        assert!(!reply.ok, "request {i} must fail");
+        assert_eq!(reply.error_code.as_deref(), Some("internal_error"));
     }
+    assert_eq!(
+        stat_at(&stats_of(shards[0].addr()), &["panics"]),
+        2,
+        "the second identical request reached the shard"
+    );
+    let v = stats_of(router.addr());
+    assert_eq!(stat_at(&v, &["router", "forwarded"]), 2);
+    assert_eq!(stat_at(&v, &["router", "cache", "hits"]), 0);
+    assert_eq!(stat_at(&v, &["router", "cache", "len"]), 0);
+}
 
-    // Each replica's first miss evaluated the key once; afterwards both
-    // serve it from their own cache.
-    let mut completed = Vec::new();
-    for shard in &shards {
-        let mut c = Client::connect(shard.addr()).expect("shard client");
-        let stats = c.call(Request::Stats, Some(5_000)).expect("shard stats");
-        completed.push(
-            stats
-                .result
-                .as_ref()
-                .and_then(|v| v.get("completed"))
-                .and_then(doppio_engine::json::Value::as_u64)
-                .unwrap_or(0),
-        );
+/// A corrected `predict` depends on learner state only its owner shard
+/// holds, so the router never answers one from its cache: issued after an
+/// `observe`, it reflects the new corrector.
+#[test]
+fn corrected_predict_after_observe_is_never_served_stale() {
+    let shards = spawn_shards(2);
+    let router = router_over(&shards, |_| {});
+    let mut client = Client::connect(router.addr()).expect("client connects");
+    let predict = Request::Predict(PredictSpec {
+        workload: Workload::Terasort,
+        nodes: 2,
+        cores: 8,
+        config: doppio_cluster::HybridConfig::HddHdd,
+        paper: false,
+        profile_nodes: 3,
+        corrected: true,
+    });
+    let corrected = |client: &mut Client| -> String {
+        let reply = client.call(predict.clone(), None).expect("predict reply");
+        assert!(reply.ok, "corrected predict: {:?}", reply.error_message);
+        extract_result_payload(&reply.raw)
+            .expect("result payload")
+            .to_string()
+    };
+
+    let before = corrected(&mut client);
+    assert_eq!(corrected(&mut client), before, "no ingest, no change");
+    for line in include_str!("../../../tests/fixtures/observations_slowdisk.ndjson").lines() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let obs = RunObservation::parse_line(line).expect("fixture line parses");
+        let reply = client
+            .call(Request::Observe(obs), None)
+            .expect("observe reply");
+        assert!(reply.ok, "observe: {:?}", reply.error_message);
     }
-    assert!(
-        completed.iter().all(|&c| c >= 1),
-        "both replicas served the hot key: completed per shard = {completed:?}"
+    assert_ne!(
+        corrected(&mut client),
+        before,
+        "a corrected predict after observe must reflect the new corrector"
     );
 
-    let stats = client.call(Request::Stats, Some(5_000)).expect("stats");
-    let hot_routed = stats
-        .result
-        .as_ref()
-        .and_then(|v| v.get("router"))
-        .and_then(|v| v.get("hot_routed"))
-        .and_then(doppio_engine::json::Value::as_u64)
-        .unwrap_or(0);
-    assert!(hot_routed >= 1, "router counted hot routes: {hot_routed}");
+    let v = stats_of(router.addr());
+    assert_eq!(stat_at(&v, &["router", "cache", "hits"]), 0);
+    assert_eq!(stat_at(&v, &["router", "cache", "misses"]), 0);
+    assert_eq!(stat_at(&v, &["router", "cache", "len"]), 0);
+}
+
+/// A draining router refuses work, and a key it holds cached is no
+/// exception: the drain check runs before the cache lookup.
+#[test]
+fn draining_router_refuses_cached_keys() {
+    use std::sync::atomic::Ordering;
+
+    let shards = spawn_shards(1);
+    let gate = slow_gate(shards[0].addr());
+    let router = start_router(RouterConfig {
+        shards: vec![gate.addr],
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+    let mut client = Client::connect(router.addr()).expect("client connects");
+    let hot = whatif(0.5);
+    for _ in 0..2 {
+        let reply = client.call(hot.clone(), Some(10_000)).expect("warm reply");
+        assert!(reply.ok, "warm-up: {:?}", reply.error_message);
+    }
+    assert_eq!(
+        stat_at(&stats_of(router.addr()), &["router", "cache", "hits"]),
+        1
+    );
+
+    // A slow forward keeps the drain from completing, so the router
+    // stays up — and draining — while the cached key is asked again.
+    gate.delay_ms.store(500, Ordering::Relaxed);
+    let mut slow = Client::connect(router.addr()).expect("slow client");
+    slow.send_request(whatif(0.25), None).expect("slow send");
+    std::thread::sleep(Duration::from_millis(100));
+    router.shutdown();
+
+    let refused = client
+        .call(hot, Some(10_000))
+        .expect("reply while draining");
+    assert!(!refused.ok, "a draining router answered from its cache");
+    assert_eq!(refused.error_code.as_deref(), Some("shutting_down"));
+    let finished = slow.recv().expect("slow reply").expect("slow line");
+    assert!(finished.ok, "the in-flight forward still completes");
 }
 
 /// Killing a key's owning shard re-routes its requests to the next ring
@@ -236,10 +391,10 @@ fn failover_reroutes_when_the_owning_shard_dies() {
     drop(dead); // drains: listener closed, address refuses connections
 
     // Every subsequent request must still get a semantic reply, served
-    // by a surviving successor (first as a fresh evaluation, then from
-    // that shard's cache).
-    for i in 0..6 {
-        let reply = client.call(request.clone(), Some(10_000)).expect("reply");
+    // by a surviving successor. Each is a distinct key the dead shard
+    // owned, so none is answered from the router's cache.
+    for (i, request) in keys_owned_by(owner, 3, 6).into_iter().enumerate() {
+        let reply = client.call(request, Some(10_000)).expect("reply");
         assert!(
             reply.ok,
             "request {i} failed after shard death: {:?}",
@@ -305,6 +460,20 @@ fn stats_aggregate_across_shards_under_the_same_schema() {
     assert_eq!(ru("shards"), 2);
     assert_eq!(ru("shards_ok"), 2);
     assert_eq!(ru("forwarded"), 6);
+    // Six distinct keys: six router-cache misses, all six payloads kept.
+    for (key, want) in [
+        ("hits", 0),
+        ("misses", 6),
+        ("evictions", 0),
+        ("len", 6),
+        ("capacity", 4096),
+    ] {
+        assert_eq!(
+            stat_at(router_v, &["cache", key]),
+            want,
+            "router.cache.{key}"
+        );
+    }
 
     // Health aggregates the same way: all shards up means ready.
     let health = client.call(Request::Health, Some(5_000)).expect("health");
@@ -390,8 +559,12 @@ fn hedging_cuts_the_tail_of_a_suddenly_slow_shard() {
     use std::sync::atomic::Ordering;
 
     let shards = spawn_shards(2);
-    let request = whatif(0.5);
-    let owner = HashRing::new(&[0, 1], DEFAULT_VNODES).shard_for(&request.fingerprint()) as usize;
+    let owner =
+        HashRing::new(&[0, 1], DEFAULT_VNODES).shard_for(&whatif(0.5).fingerprint()) as usize;
+    // Distinct keys the gated shard owns: a repeat would be a router
+    // cache hit and never reach the gate.
+    let keys = keys_owned_by(owner, 2, 22);
+    let (warm_keys, measured_keys) = keys.split_at(12);
     let gate = slow_gate(shards[owner].addr());
     let gated_addrs = |shards: &[ServerHandle]| -> Vec<std::net::SocketAddr> {
         shards
@@ -423,7 +596,7 @@ fn hedging_cuts_the_tail_of_a_suddenly_slow_shard() {
 
     // Warm both routers' histograms past the sample floor while the gate
     // is transparent: the owner's learned quantile reflects a fast shard.
-    for _ in 0..12 {
+    for request in warm_keys {
         for c in [&mut hedged_client, &mut control_client] {
             let r = c.call(request.clone(), Some(10_000)).expect("warm reply");
             assert!(r.ok, "warm-up request failed: {:?}", r.error_message);
@@ -434,8 +607,10 @@ fn hedging_cuts_the_tail_of_a_suddenly_slow_shard() {
     gate.delay_ms.store(150, Ordering::Relaxed);
 
     let measure = |client: &mut Client| -> Vec<Duration> {
-        (0..10)
-            .map(|i| {
+        measured_keys
+            .iter()
+            .enumerate()
+            .map(|(i, request)| {
                 let t0 = std::time::Instant::now();
                 let r = client.call(request.clone(), Some(10_000)).expect("reply");
                 assert!(r.ok, "request {i} failed: {:?}", r.error_message);

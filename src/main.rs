@@ -14,7 +14,7 @@
 //! doppio phases --bw <MiB/s> --t <MiB/s> --lambda <λ> [--cores P] [--sweep] [--jobs J]
 //! doppio serve   [--addr H:P] [--workers N] [--queue-bound Q] [--cache C] [--deadline-ms D]
 //!                [--port-file PATH] [--allow-shutdown] [--max-line-bytes B] [--idle-timeout-ms T]
-//!                [--shards N] [--vnodes V] [--hot-threshold T] [--hot-replicas R]
+//!                [--shards N] [--vnodes V]
 //!                [--snapshot-dir DIR] [--pid-dir DIR]
 //! doppio health  [--addr H:P] [--wait-ms W]
 //! doppio loadgen [--addr H:P] [--smoke] [--connections N] [--requests N] [--repeats R]
@@ -115,7 +115,7 @@ USAGE:
       (--sweep classifies every core count 1..=P)
   doppio serve [--addr H:P] [--workers N] [--queue-bound Q] [--cache C] [--deadline-ms D]
                [--port-file PATH] [--allow-shutdown] [--max-line-bytes B] [--idle-timeout-ms T]
-               [--shards N] [--vnodes V] [--hot-threshold T] [--hot-replicas R]
+               [--shards N] [--vnodes V]
                [--snapshot-dir DIR] [--pid-dir DIR]
       run the model-serving front end: newline-delimited JSON over TCP with
       a shared result cache, singleflight deduplication and a bounded
@@ -128,13 +128,14 @@ USAGE:
       ingest (and restores it at startup), so correctors survive restarts;
       --shards N launches N shard processes behind a consistent-hash
       router on --addr instead of one server (replies stay bit-identical):
-      --vnodes sets ring granularity, and past --hot-threshold repeats a
-      hot key fans out over --hot-replicas shards; a dead shard's keys
-      fail over to their ring successor behind a per-shard circuit
-      breaker, a supervisor restarts crashed shards (seeded backoff,
-      crash-loop budget) and the router re-admits them through a warm-up
-      probe gate; --pid-dir writes one shard-<i>.pid per shard for chaos
-      drivers; slow idempotent requests are hedged to the ring successor
+      --vnodes sets ring granularity, and the router answers repeats from
+      its own result cache (bounded by --cache, like each shard's); a dead
+      shard's keys fail over to their ring successor behind a per-shard
+      circuit breaker, a supervisor restarts crashed shards (seeded
+      backoff, crash-loop budget) and the router re-admits them through a
+      warm-up probe gate; --pid-dir writes one shard-<i>.pid per shard for
+      chaos drivers; slow idempotent requests are hedged to the ring
+      successor
   doppio health [--addr H:P] [--wait-ms W]
       ask a serve endpoint for its health payload (readiness, queue depth,
       cache stats, panic count, uptime); with --wait-ms, poll until the
@@ -929,11 +930,13 @@ fn cmd_serve_sharded(
     deadline_ms: u64,
 ) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    // One capacity bounds every shard's cache and the router's own.
+    let cache_capacity: usize = parse_num(args, "--cache", 4096)?;
     let mut tier = doppio::serve::spawn_tier(&doppio::serve::TierSpec {
         exe,
         shards,
         workers_per_shard: workers,
-        cache_capacity: parse_num(args, "--cache", 4096)?,
+        cache_capacity,
         queue_bound,
         snapshot_dir: opt(args, "--snapshot-dir").map(std::path::PathBuf::from),
         pid_dir: opt(args, "--pid-dir").map(std::path::PathBuf::from),
@@ -946,8 +949,7 @@ fn cmd_serve_sharded(
         addr: opt(args, "--addr").unwrap_or("127.0.0.1:7099").to_string(),
         shards: tier.addrs(),
         vnodes: parse_num(args, "--vnodes", defaults.vnodes)?,
-        hot_threshold: parse_num(args, "--hot-threshold", defaults.hot_threshold)?,
-        hot_replicas: parse_num(args, "--hot-replicas", defaults.hot_replicas)?,
+        cache_capacity,
         // Forward workers do blocking shard round-trips; two per shard
         // keeps every shard's worker pool saturable without a flag.
         workers: (shards * 2).clamp(defaults.workers, 16),
@@ -1605,8 +1607,6 @@ mod tests {
             "--read-timeout-ms",
             "--shards",
             "--vnodes",
-            "--hot-threshold",
-            "--hot-replicas",
             "--procs",
             "--hot-worker",
             "--hold",

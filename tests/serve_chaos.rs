@@ -268,24 +268,32 @@ fn killing_a_shard_mid_load_yields_exactly_one_outcome_per_request() {
     let mut proxy = ChaosProxy::start(router.addr(), ChaosProfile::DisconnectHeavy, 0xC4A0_8000)
         .expect("chaos proxy");
 
-    let seeds = [61u64, 62, 63, 64, 65, 66];
-    let expected: Vec<String> = seeds.iter().map(|&s| expected_payload(s)).collect();
-
     // Ring placement is a pure function of (shard ids, vnodes), so the
-    // victim — the shard owning seeds[0] — is known before the kill.
+    // victim — the shard owning seed 61 — is known before the kill.
     let ring = HashRing::new(&[0, 1, 2], DEFAULT_VNODES);
-    let victim = ring.shard_for(&Request::Simulate(spec(seeds[0])).fingerprint()) as usize;
+    let owner = |seed: u64| ring.shard_for(&Request::Simulate(spec(seed)).fingerprint()) as usize;
+    let victim = owner(61);
 
+    // Every request carries a distinct seed the victim owns: a repeated
+    // key would be answered from the router's cache and never forwarded.
+    // The spare last seed is the post-kill probe below.
     let rounds = 6usize;
+    let per_round = 6usize;
+    let seeds: Vec<u64> = (61u64..)
+        .filter(|&s| owner(s) == victim)
+        .take(rounds * per_round + 1)
+        .collect();
+    let expected: Vec<String> = seeds.iter().map(|&s| expected_payload(s)).collect();
     let proxy_addr = proxy.addr().to_string();
+    let load_seeds = &seeds;
     let (warmed_tx, warmed_rx) = std::sync::mpsc::channel::<()>();
     let outcomes: Vec<(usize, u64, Result<doppio::serve::Reply, CallError>)> =
         std::thread::scope(|scope| {
             let load = scope.spawn(move || {
                 let mut rc = retrying(proxy_addr, 0x5EED_8000);
-                let mut out = Vec::with_capacity(rounds * seeds.len());
+                let mut out = Vec::with_capacity(rounds * per_round);
                 for round in 0..rounds {
-                    for &seed in &seeds {
+                    for &seed in &load_seeds[round * per_round..(round + 1) * per_round] {
                         let mut outcome = rc.call(Request::Simulate(spec(seed)), Some(10_000));
                         // An open client-side breaker is shedding by
                         // design; wait it out (bounded) so every id still
@@ -312,7 +320,7 @@ fn killing_a_shard_mid_load_yields_exactly_one_outcome_per_request() {
 
     assert_eq!(
         outcomes.len(),
-        rounds * seeds.len(),
+        rounds * per_round,
         "every request id resolves exactly once"
     );
     let mut successes = 0u32;
@@ -347,21 +355,19 @@ fn killing_a_shard_mid_load_yields_exactly_one_outcome_per_request() {
     );
 
     // The victim's keys stay owned by the successor: a fresh request on
-    // a clean wire (no proxy) evaluates there, a repeat is that shard's
-    // cache hit — and serving it at all required a breaker-driven
-    // re-route past the dead owner.
+    // a clean wire (no proxy) evaluates there, a repeat is a cache hit
+    // (the router's own) — and serving it at all required a
+    // breaker-driven re-route past the dead owner.
     let mut client = Client::connect(router.addr()).expect("direct client");
+    let probe = seeds[rounds * per_round];
     let fresh = client
-        .call(Request::Simulate(spec(seeds[0])), Some(10_000))
+        .call(Request::Simulate(spec(probe)), Some(10_000))
         .expect("post-kill request");
     assert!(fresh.ok, "victim's key served by its successor");
     let again = client
-        .call(Request::Simulate(spec(seeds[0])), Some(10_000))
+        .call(Request::Simulate(spec(probe)), Some(10_000))
         .expect("post-kill repeat");
-    assert!(
-        again.ok && again.cached,
-        "successor's cache answers the repeat"
-    );
+    assert!(again.ok && again.cached, "a cache answers the repeat");
 
     // The router saw the death: failovers counted, one shard unreachable.
     let stats = client.call(Request::Stats, Some(5_000)).expect("stats");

@@ -135,7 +135,7 @@ fn served_replies_are_bit_identical_to_in_process_runs() {
 
 /// The shard tier keeps the same promise. Whatever the shard count, a
 /// reply routed through the consistent-hash router carries exactly the
-/// in-process bytes — placement, hot-key fan-out, and the router's
+/// in-process bytes — placement, the router's result cache, and its
 /// verbatim payload splice are all invisible in the output.
 #[test]
 fn routed_replies_are_bit_identical_at_every_shard_count() {
@@ -173,15 +173,12 @@ fn routed_replies_are_bit_identical_at_every_shard_count() {
                 "routed bytes diverge from in-process render at {shard_count} shard(s)\n  spec: {spec:?}\n  raw: {}",
                 reply.raw
             );
-            // The owning shard's cache answers the repeat with the very
-            // same bytes, and the router surfaces the cached flag.
+            // The router's cache answers the repeat with the very same
+            // bytes and the cached flag, as a shard's own hit would.
             let again = client
                 .call(Request::Simulate(spec), None)
                 .expect("cached routed reply");
-            assert!(
-                again.ok && again.cached,
-                "repeat must hit the owning shard's cache"
-            );
+            assert!(again.ok && again.cached, "repeat must be a cache hit");
             assert!(
                 again.raw.ends_with(&format!("\"result\": {want}}}")),
                 "cached routed bytes diverge at {shard_count} shard(s)"
