@@ -59,8 +59,9 @@
 //!   exactly one semantic outcome, and `loadgen --chaos` reports
 //!   retry/breaker metrics under the same profiles.
 
-// `deny` rather than `forbid`: the epoll/eventfd shim in [`sys`] is the
-// one audited unsafe surface (four FFI calls), opted in explicitly below.
+// `deny` rather than `forbid`: the epoll/eventfd/listen shim in [`sys`] is
+// the one audited unsafe surface (five FFI calls), opted in explicitly
+// below.
 // Everything else in the crate still refuses unsafe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -43,6 +43,15 @@
 //! is **stalled** (the slow-loris shape — answered, then closed); queued
 //! reply bytes unflushed past the write timeout mean the client stopped
 //! reading and the connection is dropped.
+//!
+//! # Out of file descriptors
+//!
+//! The listener is level-triggered, so an `accept` that fails with
+//! `EMFILE`/`ENFILE` would leave it readable and spin the thread. The
+//! reactor instead takes the listener out of the epoll set and puts it
+//! back when a connection closes or after [`ACCEPT_PAUSE`]. Pending
+//! connections wait in the kernel's accept queue meanwhile; none is
+//! dropped.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -59,6 +68,10 @@ use crate::sys::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOU
 /// Bytes read per connection per readiness event before yielding to the
 /// next ready socket; level-triggered epoll re-reports the remainder.
 const READ_BUDGET: usize = 256 * 1024;
+
+/// How long the listener stays unwatched after `accept` ran out of file
+/// descriptors, unless a connection closes first.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(100);
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
@@ -274,6 +287,9 @@ struct Reactor<H: ConnHandler> {
     gens: Vec<u64>,
     free: Vec<usize>,
     listener_dropped: bool,
+    /// When `accept` last ran out of file descriptors, while the listener
+    /// is out of the epoll set.
+    accept_paused: Option<Instant>,
 }
 
 /// Spawns the reactor thread over an already-bound listener.
@@ -297,6 +313,7 @@ pub(crate) fn spawn<H: ConnHandler>(
         gens: Vec::new(),
         free: Vec::new(),
         listener_dropped: false,
+        accept_paused: None,
     };
     std::thread::Builder::new()
         .name("doppio-reactor".into())
@@ -305,6 +322,11 @@ pub(crate) fn spawn<H: ConnHandler>(
 
 fn is_wouldblock(e: &io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// `EMFILE` (this process) or `ENFILE` (the whole system).
+fn is_out_of_fds(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(23 | 24))
 }
 
 impl<H: ConnHandler> Reactor<H> {
@@ -343,6 +365,13 @@ impl<H: ConnHandler> Reactor<H> {
             }
 
             self.deliver_mailbox();
+
+            if self
+                .accept_paused
+                .is_some_and(|at| at.elapsed() >= ACCEPT_PAUSE)
+            {
+                self.resume_accept();
+            }
 
             if self.shared.is_draining() && !self.listener_dropped {
                 self.listener_dropped = true;
@@ -395,9 +424,14 @@ impl<H: ConnHandler> Reactor<H> {
             return 10;
         }
         let have_conns = self.conns.iter().any(Option::is_some);
-        match self.cfg.tick() {
+        let ms = match self.cfg.tick() {
             Some(t) if have_conns => t.as_millis().max(1) as i32,
             _ => 500,
+        };
+        if self.accept_paused.is_some() {
+            ms.min(ACCEPT_PAUSE.as_millis() as i32)
+        } else {
+            ms
         }
     }
 
@@ -445,9 +479,38 @@ impl<H: ConnHandler> Reactor<H> {
                 }
                 Err(e) if is_wouldblock(&e) => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if is_out_of_fds(&e) => {
+                    self.pause_accept();
+                    return;
+                }
                 // Transient per-connection accept errors (ECONNABORTED
                 // and friends): skip that connection, keep listening.
                 Err(_) => return,
+            }
+        }
+    }
+
+    /// Stops watching the listener until [`resume_accept`](Self::resume_accept).
+    fn pause_accept(&mut self) {
+        if let Some(l) = &self.listener {
+            if self.epoll.delete(l.as_raw_fd()).is_ok() {
+                self.accept_paused = Some(Instant::now());
+            }
+        }
+    }
+
+    /// Watches the listener again after [`pause_accept`](Self::pause_accept).
+    fn resume_accept(&mut self) {
+        if self.accept_paused.take().is_none() {
+            return;
+        }
+        if let Some(l) = &self.listener {
+            if self
+                .epoll
+                .add(l.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
+                .is_err()
+            {
+                self.accept_paused = Some(Instant::now());
             }
         }
     }
@@ -466,6 +529,8 @@ impl<H: ConnHandler> Reactor<H> {
         if let Some(conn) = self.conns.get_mut(idx).and_then(Option::take) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
             self.free.push(idx);
+            // The closed socket freed a descriptor for a queued connect.
+            self.resume_accept();
         }
     }
 

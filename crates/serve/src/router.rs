@@ -72,7 +72,7 @@
 //! currently down are skipped, not probed, so a mid-restart shard cannot
 //! hang the poll.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -93,6 +93,7 @@ use crate::reactor::{self, ConnFault, ConnHandler, ReactorConfig, ReactorShared,
 use crate::ring::HashRing;
 use crate::shard::ShardEvent;
 use crate::singleflight::Singleflight;
+use crate::sys;
 
 /// See `server::lock_recover` — same reasoning: every guarded value holds
 /// its invariants between statements, and panics are already isolated.
@@ -409,7 +410,7 @@ pub fn start_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
             "router needs at least one shard",
         ));
     }
-    let listener = TcpListener::bind(&cfg.addr)?;
+    let listener = sys::bind_listener(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let shared = ReactorShared::new()?;
     let rcfg = ReactorConfig {

@@ -42,7 +42,7 @@
 //! [`Scenario::run`]: ../../doppio/scenario/struct.Scenario.html
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,6 +69,7 @@ use crate::protocol::{
 };
 use crate::reactor::{self, ConnFault, ConnHandler, ReactorConfig, ReactorShared, ReplyHandle};
 use crate::singleflight::Singleflight;
+use crate::sys;
 
 /// Locks a mutex, recovering from poisoning. Every mutex in the server
 /// guards plain data whose invariants hold between statements, and
@@ -310,7 +311,7 @@ pub(crate) fn cache_stats(cache: &MemoCache<Fingerprint, Arc<str>>) -> Object {
 /// Fails when the listen address cannot be bound or the reactor's kernel
 /// resources (epoll, eventfd) cannot be created.
 pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&cfg.addr)?;
+    let listener = sys::bind_listener(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let cache = reply_cache(cfg.cache_capacity);
     let shared = ReactorShared::new()?;

@@ -10,9 +10,12 @@
 //!
 //! The handshake is file-based because it has to work for a CLI, a CI
 //! job, and a test harness identically: each child binds port 0 and
-//! writes its resolved port to a private file (`serve --port-file`), the
-//! supervisor polls for the files, then polls each shard's `health` verb
-//! until it reports ready. No signals, no stdout parsing.
+//! writes its resolved `host:port` to a private file (`serve
+//! --port-file`), the supervisor polls for the files, then polls each
+//! shard's `health` verb until it reports ready. No signals, no stdout
+//! parsing. Both polls retry every `HANDSHAKE_POLL` (1 ms): a shard is
+//! up a few milliseconds after its spawn, and a coarser interval would
+//! add most of itself to every tier start-up and every restart.
 //!
 //! # Supervision
 //!
@@ -197,6 +200,9 @@ pub struct TierHandle {
 
 static TIER_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Retry interval of both handshake polls (port file, then `health`).
+const HANDSHAKE_POLL: Duration = Duration::from_millis(1);
+
 impl TierHandle {
     /// The shards' current resolved addresses, in shard-id order. A
     /// restarted shard binds a fresh ephemeral port, so addresses are a
@@ -331,12 +337,8 @@ pub fn spawn_tier(spec: &TierSpec) -> io::Result<TierHandle> {
     let deadline = Instant::now() + spec.startup_timeout;
     let never_stop = AtomicBool::new(false);
     for shard in 0..spec.shards {
-        let port_file = tier.shared.port_dir.join(format!("shard-{shard}.port"));
-        let addr = wait_for_port(&port_file, deadline, &never_stop)
-            .ok_or_else(|| startup_error(&mut tier, shard, "did not write its port file"))?;
-        if !wait_for_ready(addr, deadline, &never_stop) {
-            return Err(startup_error(&mut tier, shard, "did not become ready"));
-        }
+        let addr = handshake(&tier.shared.port_dir, shard, deadline, &never_stop)
+            .map_err(|what| startup_error(&mut tier, shard, what))?;
         lock_recover(&tier.shared.slots[shard]).addr = addr;
     }
     Ok(tier)
@@ -345,7 +347,7 @@ pub fn spawn_tier(spec: &TierSpec) -> io::Result<TierHandle> {
 /// Spawns one shard process, clearing its stale port file first and
 /// recording its pid when the spec asks for pid files.
 fn spawn_shard(spec: &TierSpec, port_dir: &Path, shard: usize) -> io::Result<Child> {
-    let port_file = port_dir.join(format!("shard-{shard}.port"));
+    let port_file = port_file(port_dir, shard);
     let _ = std::fs::remove_file(&port_file);
     let mut cmd = Command::new(&spec.exe);
     cmd.arg("serve")
@@ -436,17 +438,13 @@ fn supervise_loop(
                 let spec = lock_recover(&shared.spec).clone();
                 let deadline = Instant::now() + cfg.restart_timeout;
                 let outcome = spawn_shard(&spec, &shared.port_dir, shard).and_then(|child| {
-                    let port_file = shared.port_dir.join(format!("shard-{shard}.port"));
-                    match wait_for_port(&port_file, deadline, stop) {
-                        Some(addr) if wait_for_ready(addr, deadline, stop) => Ok((child, addr)),
-                        _ => {
+                    match handshake(&shared.port_dir, shard, deadline, stop) {
+                        Ok(addr) => Ok((child, addr)),
+                        Err(what) => {
                             let mut child = child;
                             let _ = child.kill();
                             let _ = child.wait();
-                            Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                "restarted shard missed the handshake",
-                            ))
+                            Err(io::Error::new(io::ErrorKind::TimedOut, what))
                         }
                     }
                 });
@@ -512,56 +510,62 @@ fn startup_error(tier: &mut TierHandle, shard: usize, what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::TimedOut, detail)
 }
 
-/// Polls `path` until it parses as the shard's address, `deadline`
-/// passes, or `stop` is raised. `serve --port-file` writes the full
-/// resolved `host:port`; a bare port (older writers) is accepted too.
-/// The file is written in one small write, but an in-progress empty file
-/// fails the parse and is simply retried.
-fn wait_for_port(path: &Path, deadline: Instant, stop: &AtomicBool) -> Option<SocketAddr> {
+/// Shard `shard`'s port file under `port_dir`.
+fn port_file(port_dir: &Path, shard: usize) -> PathBuf {
+    port_dir.join(format!("shard-{shard}.port"))
+}
+
+/// Calls `attempt` every [`HANDSHAKE_POLL`] until it yields a value,
+/// `deadline` passes, or `stop` is raised.
+fn poll_until<T>(
+    deadline: Instant,
+    stop: &AtomicBool,
+    mut attempt: impl FnMut() -> Option<T>,
+) -> Option<T> {
     loop {
-        if let Ok(s) = std::fs::read_to_string(path) {
-            let s = s.trim();
-            if let Ok(addr) = s.parse::<SocketAddr>() {
-                return Some(addr);
-            }
-            if let Ok(port) = s.parse::<u16>() {
-                return Some(SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port)));
-            }
+        if let Some(v) = attempt() {
+            return Some(v);
         }
         if Instant::now() >= deadline || stop.load(Ordering::SeqCst) {
             return None;
         }
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(HANDSHAKE_POLL);
     }
 }
 
-/// Polls `health` on `addr` until it reports ready, `deadline` passes,
-/// or `stop` is raised.
-fn wait_for_ready(addr: SocketAddr, deadline: Instant, stop: &AtomicBool) -> bool {
+/// One shard's handshake: wait for its port file to hold the resolved
+/// `host:port` (`serve --port-file` writes it in one small write; an
+/// in-progress empty file fails the parse and is retried), then for its
+/// `health` to report ready. On failure, says which step missed.
+fn handshake(
+    port_dir: &Path,
+    shard: usize,
+    deadline: Instant,
+    stop: &AtomicBool,
+) -> Result<SocketAddr, &'static str> {
+    let path = port_file(port_dir, shard);
+    let addr = poll_until(deadline, stop, || {
+        std::fs::read_to_string(&path).ok()?.trim().parse().ok()
+    })
+    .ok_or("did not write its port file")?;
     let cfg = ClientConfig {
         connect_timeout: Some(Duration::from_millis(500)),
         read_timeout: Some(Duration::from_millis(2_000)),
         write_timeout: Some(Duration::from_millis(2_000)),
     };
-    loop {
-        if let Ok(mut c) = Client::connect_with(addr, &cfg) {
-            if let Ok(reply) = c.call(Request::Health, Some(2_000)) {
-                let ready = reply
-                    .result
-                    .as_ref()
-                    .and_then(|v| v.get("ready"))
-                    .and_then(doppio_engine::json::Value::as_bool)
-                    .unwrap_or(false);
-                if ready {
-                    return true;
-                }
-            }
-        }
-        if Instant::now() >= deadline || stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    poll_until(deadline, stop, || {
+        let reply = Client::connect_with(addr, &cfg)
+            .ok()?
+            .call(Request::Health, Some(2_000))
+            .ok()?;
+        reply
+            .result
+            .as_ref()?
+            .get("ready")?
+            .as_bool()?
+            .then_some(addr)
+    })
+    .ok_or("did not become ready")
 }
 
 #[cfg(test)]

@@ -1,19 +1,22 @@
-//! The reactor's only unsafe surface: raw `epoll` and `eventfd` bindings.
+//! The serving tier's only unsafe surface: raw `epoll`, `eventfd` and
+//! `listen` bindings.
 //!
 //! The serving tier deliberately carries no async runtime — the protocol
-//! is one line in, one line out, and the reactor needs exactly four
-//! kernel facilities: create an epoll instance, register/modify/remove
-//! interest, wait for readiness, and a self-wake fd so worker threads can
-//! nudge a blocked `epoll_wait`. Binding those four directly keeps the
-//! unsafe code small enough to audit in one sitting (every call site
-//! passes kernel-owned plain-old-data and checks the return value) and
-//! keeps the vendored-dependency constraint intact.
+//! is one line in, one line out, and the tier needs exactly five kernel
+//! facilities: create an epoll instance, register/modify/remove
+//! interest, wait for readiness, a self-wake fd so worker threads can
+//! nudge a blocked `epoll_wait`, and a listening socket whose accept queue
+//! is deeper than std's 128 ([`bind_listener`]). Binding those five
+//! directly keeps the unsafe code small enough to audit in one sitting
+//! (every call site passes kernel-owned plain-old-data and checks the
+//! return value) and keeps the vendored-dependency constraint intact.
 //!
 //! Everything here is Linux-specific; the crate targets the deployment
 //! platform, not portability.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
 use std::os::raw::c_int;
@@ -35,6 +38,10 @@ const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
+
+/// Accept-queue depth asked of `listen`; the kernel clamps it to
+/// `net.core.somaxconn`.
+const LISTEN_BACKLOG: c_int = 4096;
 
 /// The kernel's `struct epoll_event`. On x86-64 the kernel ABI packs it
 /// (no padding between `events` and `data`); other architectures use the
@@ -61,6 +68,7 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: u32, flags: c_int) -> c_int;
+    fn listen(sockfd: c_int, backlog: c_int) -> c_int;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -69,6 +77,21 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
     } else {
         Ok(ret)
     }
+}
+
+/// Binds a TCP listener with a [`LISTEN_BACKLOG`]-deep accept queue.
+///
+/// std's `TcpListener::bind` listens with a backlog of 128. A burst of
+/// more connects than that, arriving while the reactor is busy, overflows
+/// the queue; the kernel drops each overflowing SYN, and the client's
+/// kernel retries it only after 1 s, then 3 s. Calling `listen` again on
+/// the already-listening socket resizes its queue in place.
+pub(crate) fn bind_listener(addr: impl ToSocketAddrs) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    // SAFETY: listen takes two integers and no pointers; the fd is a live
+    // socket owned by `listener`, which outlives the call.
+    cvt(unsafe { listen(listener.as_raw_fd(), LISTEN_BACKLOG) })?;
+    Ok(listener)
 }
 
 /// An owned epoll instance.
@@ -177,7 +200,8 @@ impl WakeFd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     #[test]
     fn wakefd_wakes_and_drains() {
@@ -219,5 +243,20 @@ mod tests {
             .unwrap();
         epoll.delete(listener.as_raw_fd()).unwrap();
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+    }
+
+    #[test]
+    fn bound_listener_queues_a_burst_beyond_std_backlog() {
+        // Nothing accepts: every connect below must complete into the
+        // accept queue. Past a 128-deep queue the kernel drops the SYN
+        // and the first retry comes after 1 s, beyond the timeout.
+        let listener = bind_listener("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let _burst: Vec<TcpStream> = (0..512)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(500))
+                    .unwrap_or_else(|e| panic!("connect {i} into the accept queue: {e}"))
+            })
+            .collect();
     }
 }
