@@ -116,7 +116,7 @@ pub fn grid_search(eval: &(impl EvaluateCost + Sync), space: &SearchSpace) -> Se
 const GRID_BATCH: usize = 32;
 
 /// Exhaustive search with the evaluations fanned out over `engine` in
-/// batches of [`GRID_BATCH`].
+/// batches of `GRID_BATCH` (32) configurations.
 ///
 /// The argmin itself stays serial and first-wins over the engine's
 /// order-preserving results, so the winning configuration (ties included)

@@ -29,8 +29,8 @@ const MAX_SHARDS: usize = 16;
 /// a re-insert refreshes recency) and count evictions next to the
 /// hit/miss counters. Every operation is O(1): each shard keeps an
 /// intrusive doubly-linked recency list over a slab, and large caches
-/// split into [`MAX_SHARDS`] independently locked shards (small caches,
-/// below [`SHARDING_THRESHOLD`] entries, stay single-sharded so the bound
+/// split into `MAX_SHARDS` (16) independently locked shards (small caches,
+/// below `SHARDING_THRESHOLD` (1024) entries, stay single-sharded so the bound
 /// is exact). A sharded cache's bound is enforced per shard — capacity is
 /// split evenly, rounding up — so the total may transiently exceed the
 /// nominal capacity by at most `MAX_SHARDS - 1` entries.

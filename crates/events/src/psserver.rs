@@ -29,7 +29,9 @@
 //! whose rate can change (see `refill_from` and DESIGN.md §"Scheduler
 //! complexity"). The refill performs bit-for-bit the same f64 operations as
 //! the full fill, so every rate — and therefore every simulated timestamp —
-//! is identical to the naive implementation's.
+//! is identical to the naive implementation's. A burst of same-time joins
+//! pays one refill, run when something first reads rates (see
+//! [`PsServer::add_flow`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -176,7 +178,9 @@ pub struct PsServer {
     /// last scan. Flows before it have unchanged predicate inputs since a
     /// scan (or horizon bound) already ruled them unfinished at this
     /// timestamp, so a post-mutation harvest only walks the suffix —
-    /// keeping same-time join/leave churn O(changed), not O(F).
+    /// keeping same-time join/leave churn O(changed), not O(F). A flush of
+    /// deferred joins sets it to what per-join refills would have left
+    /// (see `flush_joins`).
     scan_from: usize,
     /// Near-minimum projection candidates `(position, approx_drain)`
     /// gathered during the scan; expected O(log F) entries per scan.
@@ -203,6 +207,19 @@ pub struct PsServer {
     /// budgets for; replenished by every clean scan. Bounds the
     /// floating-point drift between a stale projection and a live one.
     skip_budget: u32,
+    /// Server-wide lower bound on the drain time of any unfinished flow
+    /// under *any* fill: the min of `COMPLETION_EPS · max(demand, 1) /
+    /// min(cap, capacity)` over every flow admitted since the server was
+    /// last idle. An unfinished flow's residual exceeds its eps bound and
+    /// no fill rate exceeds `min(cap, capacity)`, so while this floor is
+    /// above the time quantum no rate change can finish a flow at a
+    /// zero-dt scan (see `add_flow`'s join deferral).
+    drain_floor: f64,
+    /// `Some(from)` while joins are deferred: same-time joins have been
+    /// inserted but not refilled, and `from` is the earliest position the
+    /// pending refill must rewrite (positions before it are capped and
+    /// unchanged). Cleared by `flush_joins` before anything reads rates.
+    deferred_from: Option<usize>,
 }
 
 /// Upper bound on consecutive integrate-only advances between full scans;
@@ -251,6 +268,8 @@ impl PsServer {
             nc_stale: false,
             horizon: f64::NEG_INFINITY,
             skip_budget: 0,
+            drain_floor: f64::INFINITY,
+            deferred_from: None,
         }
     }
 
@@ -402,6 +421,7 @@ impl PsServer {
         if !self.dirty {
             return;
         }
+        self.flush_joins();
         let n = self.order.len();
         if n == 0 {
             self.dirty = false;
@@ -411,6 +431,7 @@ impl PsServer {
             self.scan_from = 0;
             self.horizon = f64::INFINITY;
             self.skip_budget = MAX_SKIPS;
+            self.drain_floor = f64::INFINITY;
             return;
         }
         // An integrating scan must walk everything; a zero-dt rescan only
@@ -644,6 +665,12 @@ impl PsServer {
     /// A zero-demand flow completes immediately (it appears in the next
     /// [`PsServer::take_completed`] call without consuming capacity).
     ///
+    /// Same-time joins are coalesced: a join that provably cannot change
+    /// what a zero-dt scan at `now` finds is inserted without refilling,
+    /// and the burst pays one refill when something first reads rates
+    /// (`flush_joins`). Rates, completions and cached state are the same
+    /// bits as refilling on every join.
+    ///
     /// # Panics
     ///
     /// Panics if `demand` is negative/NaN or `cap` is not positive.
@@ -658,7 +685,29 @@ impl PsServer {
             "flow cap must be positive, got {}",
             spec.cap
         );
-        self.advance(now);
+        // A join may skip its refill (and the next join's zero-dt rescan)
+        // only if no flow can finish at a zero-dt scan at `now`, whatever
+        // the fill. Fill rates never exceed `min(cap, capacity)` (the
+        // remaining capacity only shrinks along the fill), and f64
+        // division is monotone, so:
+        //  * the new flow (residual = demand) stays unfinished if its
+        //    demand clears its eps bound and its fastest possible drain
+        //    clears the quantum;
+        //  * the flows already present were unfinished at `now` (the
+        //    server is clean), so their residuals exceed their eps bounds
+        //    and `drain_floor` bounds their fastest possible drain.
+        // Under that guard the skipped rescans could find nothing. The
+        // guard on present flows is checked when a burst starts; later
+        // joins of the burst are covered by their own check.
+        let quantum = time_quantum(now);
+        let quiet = spec.demand > COMPLETION_EPS * spec.demand.max(1.0)
+            && spec.demand / spec.cap.min(self.capacity) > 2.0 * quantum;
+        let defer = if self.deferred_from.is_some() && now == self.last_advance && quiet {
+            true
+        } else {
+            self.advance(now);
+            quiet && !self.dirty && self.drain_floor > 2.0 * quantum
+        };
         let id = self.next_id;
         self.next_id += 1;
         if spec.demand == 0.0 {
@@ -686,26 +735,63 @@ impl PsServer {
         // A join lowers fair shares. Positions before min(p, boundary) are
         // capped; the first whose cap rises above its new, lower fair share
         // ("flips") is found via the flip-threshold prefix minima. All
-        // positions from the earliest change onward are refilled.
+        // positions from the earliest change onward are refilled. While
+        // joins are deferred the pending refill start plays the boundary's
+        // role: positions before it are capped, and their flip thresholds
+        // are current.
         let n_new = self.order.len() + 1;
-        let limit = p.min(self.boundary);
+        let limit = p.min(self.deferred_from.unwrap_or(self.boundary));
         let start = self.first_flip_before(limit, n_new as u64);
         self.order.insert(p, si);
         self.rem.insert(p, spec.demand);
-        self.eps_any = self.eps_any.max(COMPLETION_EPS * spec.demand.max(1.0));
+        let eps = COMPLETION_EPS * spec.demand.max(1.0);
+        self.eps_any = self.eps_any.max(eps);
+        self.drain_floor = self.drain_floor.min(eps / spec.cap.min(self.capacity));
         // `rate`/`inv_rate` at `start..` (and `p ≥ start`) are rewritten by
-        // the refill below, as are `rc_before`/`flip_pmin`, which only need
-        // the right length.
+        // the refill, as are `rc_before`/`flip_pmin`, which only need the
+        // right length.
         self.rate.insert(p, 0.0);
         self.inv_rate.insert(p, f64::INFINITY);
         self.rc_before.push(0.0);
         self.flip_pmin.push(0);
-        self.refill_from(start);
+        if defer {
+            self.deferred_from = Some(start);
+        } else {
+            self.refill_from(start);
+        }
         self.dirty = true;
         self.nc_valid = false;
         self.horizon = f64::NEG_INFINITY;
         self.peak_flows = self.peak_flows.max(self.order.len());
         FlowId(id)
+    }
+
+    /// Runs the refill a burst of deferred joins left pending, leaving the
+    /// server exactly as refilling on every join would have.
+    ///
+    /// The fill depends only on the final flow set, so one refill from the
+    /// earliest pending position yields the same rates, prefixes and
+    /// thresholds. The one piece of state that depends on the *order* of
+    /// refills is the zero-dt rescan watermark: refilling per join leaves
+    /// it at the last join's refill start, and whether that start is 0
+    /// decides whether the next same-time rescan refreshes the projection
+    /// and horizon. It is 0 exactly when the last join landed at position
+    /// 0 or position 0 is fair-limited in the final fill (a capped
+    /// position-0 flow that flipped under the last join is fair-limited
+    /// now, and one that was fair-limited before stays so). Otherwise the
+    /// rescan cannot find a completion (the deferral guard) and refreshes
+    /// nothing, so it is skipped altogether.
+    fn flush_joins(&mut self) {
+        let Some(from) = self.deferred_from.take() else {
+            return;
+        };
+        self.refill_from(from);
+        let last_at_front = self.slots[self.order[0] as usize].id + 1 == self.next_id;
+        self.scan_from = if last_at_front || self.boundary == 0 {
+            0
+        } else {
+            self.order.len()
+        };
     }
 
     /// Removes a flow before completion (e.g. a cancelled transfer).
@@ -791,6 +877,7 @@ impl PsServer {
             self.nc_cache = best;
             self.nc_stale = false;
         } else if !self.nc_valid {
+            self.flush_joins();
             // Reciprocal-filtered projection: find the approximate minimum
             // drain with multiplications, then take exact divisions only
             // for flows within the filter slop of it — bit-equal to the
@@ -876,7 +963,8 @@ impl PsServer {
     }
 
     /// Current service rate of a flow, in units per second.
-    pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
+    pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
+        self.flush_joins();
         self.lookup.get(&id.0).map(|&si| {
             let f = &self.slots[si as usize];
             self.rate[self.position_for(f.cap, f.id)]
@@ -885,7 +973,8 @@ impl PsServer {
 
     /// Sum of the rates of all active flows (the server's instantaneous
     /// delivered capacity).
-    pub fn total_rate(&self) -> f64 {
+    pub fn total_rate(&mut self) -> f64 {
+        self.flush_joins();
         self.rate.iter().sum()
     }
 
@@ -1553,6 +1642,168 @@ mod tests {
                     "served drifted: {sa} vs {sb}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn burst_drain_refreshes_the_horizon_only_if_the_last_join_refilled_from_the_front() {
+        // A same-time rescan refreshes the projection and the safe-skip
+        // horizon only when it covers every position, i.e. when the last
+        // join refilled from position 0. A coalesced burst refills from its
+        // earliest start, yet must leave the same watermark.
+        let drained_horizon = |caps: &[f64]| {
+            let mut s = PsServer::new(10.0);
+            let now = SimTime::from_secs(1.0);
+            s.advance(now);
+            for &cap in caps {
+                s.add_flow(now, spec(5.0, cap));
+            }
+            s.advance(now);
+            s.harvest_horizon()
+        };
+        // Last join behind a capped flow that stays capped: no refresh,
+        // although the first join refilled from the front.
+        assert_eq!(drained_horizon(&[0.1, f64::INFINITY]), f64::NEG_INFINITY);
+        // Last join lands at position 0.
+        assert!(drained_horizon(&[f64::INFINITY, 0.1]).is_finite());
+        // Last join flips the capped position-0 flow to fair-limited.
+        assert!(drained_horizon(&[4.0, f64::INFINITY, f64::INFINITY]).is_finite());
+    }
+
+    /// One join of a same-time burst.
+    #[derive(Debug, Clone, Copy)]
+    struct Join {
+        demand: f64,
+        cap: f64,
+    }
+
+    fn join_strategy() -> impl Strategy<Value = Join> {
+        (0u32..8, 0.01f64..50.0, 0u32..5, 0.01f64..8.0).prop_map(|(dk, d, ck, c)| Join {
+            demand: match dk {
+                0 => 0.0,       // zero demand: completes at once
+                1 => d * 1e-10, // tiny: under the eps bound or within the quantum
+                2 => d * 1e4,
+                _ => d,
+            },
+            cap: match ck {
+                0 => f64::INFINITY,
+                1 => 1.0,      // deliberate cap ties
+                2 => c * 1e-3, // the smallest caps land at position 0
+                _ => c,
+            },
+        })
+    }
+
+    /// A round: an optional same-time leave, a burst of joins with no reads
+    /// in between, then an advance by `dt` (zero included).
+    fn round_strategy() -> impl Strategy<Value = (usize, Vec<Join>, f64)> {
+        (
+            0usize..96,
+            proptest::collection::vec(join_strategy(), 1..12),
+            prop::sample::select(vec![0.0, 0.0, 0.05, 0.5, 2.0, 7.0]),
+        )
+    }
+
+    proptest! {
+        /// Same-time join bursts, whose refills are coalesced, are
+        /// indistinguishable from the naive oracle's per-join refills:
+        /// identical completion streams, rates, next-completion bits and
+        /// busy time — including zero and tiny demands (joins that are
+        /// never deferred), capped joins landing at position 0, cap ties,
+        /// and start times late enough that the time quantum matters.
+        #[test]
+        fn join_bursts_match_naive_oracle(
+            capacity in prop::sample::select(vec![1.0, 3.0, 10.0, 0.7, 1e6]),
+            t0 in prop::sample::select(vec![0.0, 1e3, 1e6]),
+            rounds in proptest::collection::vec(round_strategy(), 1..10),
+        ) {
+            let mut fast = PsServer::new(capacity);
+            let mut slow = NaivePsServer::new(capacity);
+            let mut now = SimTime::from_secs(t0);
+            let mut live_ids: Vec<FlowId> = Vec::new();
+            for (rm, burst, dt) in rounds {
+                if rm < live_ids.len() {
+                    let id = live_ids.swap_remove(rm);
+                    let a = fast.remove_flow(now, id).map(f64::to_bits);
+                    let b = slow.remove_flow(now, id).map(f64::to_bits);
+                    prop_assert_eq!(a, b, "remove diverged");
+                }
+                for j in burst {
+                    let spec = FlowSpec { demand: j.demand, cap: j.cap, tag: 3 };
+                    let a = fast.add_flow(now, spec);
+                    prop_assert_eq!(a, slow.add_flow(now, spec), "flow ids diverged");
+                    live_ids.push(a);
+                }
+                now += SimDuration::from_secs(dt);
+                fast.advance(now);
+                slow.advance(now);
+                let done = fast.take_completed();
+                prop_assert_eq!(&done, &slow.take_completed());
+                live_ids.retain(|id| !done.iter().any(|(d, _)| d == id));
+                prop_assert_eq!(fast.active_flows(), slow.active_flows());
+                prop_assert_eq!(
+                    fast.next_completion().map(|t| t.as_secs().to_bits()),
+                    slow.next_completion().map(|t| t.as_secs().to_bits()),
+                    "next_completion drifted"
+                );
+                for id in &live_ids {
+                    prop_assert_eq!(
+                        fast.flow_rate(*id).map(f64::to_bits),
+                        slow.flow_rate(*id).map(f64::to_bits),
+                        "rate drifted"
+                    );
+                }
+                prop_assert_eq!(
+                    fast.busy_time().as_secs().to_bits(),
+                    slow.busy_time().as_secs().to_bits(),
+                    "busy time drifted"
+                );
+            }
+        }
+
+        /// The cached state a burst leaves behind does not depend on
+        /// whether anything read the server mid-burst: reading
+        /// `next_completion_lb` after every join (which flushes each join
+        /// on its own) and reading nothing (one coalesced refill) leave the
+        /// same completions, `next_completion_lb` and `harvest_horizon`
+        /// after the same-time drain, and the same trajectory afterwards.
+        #[test]
+        fn mid_burst_reads_leave_the_same_cached_state(
+            capacity in prop::sample::select(vec![1.0, 3.0, 10.0, 1e6]),
+            t0 in prop::sample::select(vec![0.5, 1e3, 1e6]),
+            background in proptest::collection::vec(join_strategy(), 0..10),
+            burst in proptest::collection::vec(join_strategy(), 1..14),
+        ) {
+            let run = |reads: bool| {
+                let mut s = PsServer::new(capacity);
+                for j in &background {
+                    s.add_flow(SimTime::ZERO, FlowSpec { demand: j.demand * 1e3, cap: j.cap, tag: 1 });
+                }
+                let now = SimTime::from_secs(t0);
+                s.advance(now);
+                let mut trace = vec![format!("{:?}", s.take_completed())];
+                for j in &burst {
+                    s.add_flow(now, FlowSpec { demand: j.demand, cap: j.cap, tag: 2 });
+                    if reads {
+                        let _ = s.next_completion_lb();
+                    }
+                }
+                // The drain: the same-time rescan after the burst.
+                s.advance(now);
+                trace.push(format!("{:?}", s.take_completed()));
+                for step in 0..8 {
+                    let lb = s.next_completion_lb().map(|(t, exact)| (t.as_secs().to_bits(), exact));
+                    trace.push(format!("{:x} {lb:?}", s.harvest_horizon().to_bits()));
+                    let next = match lb {
+                        Some((bits, _)) if step % 2 == 0 => f64::from_bits(bits),
+                        _ => s.last_advance.as_secs() + 0.25,
+                    };
+                    s.advance(SimTime::from_secs(next.max(s.last_advance.as_secs())));
+                    trace.push(format!("{:?}", s.take_completed()));
+                }
+                trace
+            };
+            prop_assert_eq!(run(true), run(false));
         }
     }
 }

@@ -3,7 +3,7 @@
 //! The simulated cluster has `doppio-faults`: deterministic, seeded fault
 //! plans replayed against the event loop. This module is the same idea
 //! applied to the real wire. A [`ChaosProxy`] sits between a client and a
-//! serve endpoint and, per connection, draws a [`ConnPlan`] from a seeded
+//! serve endpoint and, per connection, draws a `ConnPlan` from a seeded
 //! RNG: refuse outright, delay every forwarded chunk, inject a garbage
 //! line ahead of real replies, or cut the stream after a byte budget.
 //! Same seed, same profile → the same schedule of connection faults, so

@@ -280,7 +280,7 @@ impl Device {
     }
 
     /// Instantaneous byte rate of a specific flow.
-    pub fn flow_byte_rate(&self, id: FlowId, dir: IoDir, request_size: Bytes) -> Option<Rate> {
+    pub fn flow_byte_rate(&mut self, id: FlowId, dir: IoDir, request_size: Bytes) -> Option<Rate> {
         let device_time_rate = self.server.flow_rate(id)?;
         let bw = self.spec.bandwidth(dir, request_size);
         Some(Rate::bytes_per_sec(

@@ -9,7 +9,7 @@
 //! This crate describes those shapes as pure data: a [`StorageProfile`]
 //! selects the tier and carries its parameters, and
 //! [`StorageProfile::remote_device`] lowers the shared remote side to an
-//! ordinary [`DeviceSpec`] whose effective-bandwidth curve encodes the
+//! ordinary [`DeviceSpec`](doppio_storage::DeviceSpec) whose effective-bandwidth curve encodes the
 //! per-request latency (`BW(rs) = rs / (latency + rs / peak)`). The cluster
 //! runtime instantiates that spec as one extra processor-sharing rate domain
 //! shared by every node — the same machinery as a local disk, so replay,
