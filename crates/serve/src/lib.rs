@@ -6,10 +6,19 @@
 //! JSON protocol ([`protocol`]), so a dashboard or sweep driver can hold a
 //! connection open and ask many what-if questions against a warm cache.
 //!
-//! The serving pipeline (one request's life):
+//! A shard and the router admit requests through one front, generic over
+//! its backend: `LocalEval` evaluates in process (a shard), `RingForward`
+//! forwards over the consistent-hash ring (the router). One request's
+//! life:
 //!
 //! ```text
-//! client line ──▶ decode ──▶ cache? ──hit──▶ reply ("cached": true)
+//! client line ──▶ decode ──▶ draining? ──yes──▶ reply "shutting_down"
+//!                              │no
+//!                              ▼
+//!                    backend route ──direct──▶ bounded queue ──▶ worker:
+//!                              │keyed         (observe, owner-   backend
+//!                              ▼               pinned requests)  answers
+//!                           cache? ──hit──▶ reply ("cached": true)
 //!                              │miss
 //!                              ▼
 //!                        singleflight ──joined──▶ park reply ticket
@@ -18,9 +27,11 @@
 //!                     bounded queue ──full──▶ reply "overloaded" + depth
 //!                              │admitted
 //!                              ▼
-//!                    TaskPool worker: evaluate (serial engine),
-//!                    cache the rendered payload, reply to every
-//!                    waiter (honoring per-request deadlines)
+//!                    TaskPool worker: deadline check, backend answers
+//!                    (LocalEval evaluates with a serial engine;
+//!                    RingForward forwards with failover and hedging),
+//!                    cache the payload, reply to every waiter
+//!                    (honoring per-request deadlines)
 //! ```
 //!
 //! Three properties are load-bearing and tested:
@@ -69,6 +80,7 @@
 pub mod breaker;
 pub mod chaosproxy;
 pub mod client;
+mod front;
 pub mod loadgen;
 pub mod protocol;
 mod reactor;

@@ -39,20 +39,15 @@ use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::client::{Client, ClientConfig};
+use crate::front::lock_recover;
 use crate::protocol::Request;
-
-/// Recovers a poisoned lock: shard bookkeeping stays usable even if a
-/// supervisor callback panicked while holding it.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// What to launch and how long to wait for it.
 #[derive(Debug, Clone)]

@@ -369,6 +369,45 @@ fn draining_router_refuses_cached_keys() {
     assert!(finished.ok, "the in-flight forward still completes");
 }
 
+/// Learners calibrate on a 3-node profiling cluster, so a corrected
+/// predict with any other `profile_nodes` has no corrector that fits it.
+/// It is refused as a `bad_request` before any flight or pool slot is
+/// spent — served direct and through the router alike, with the same
+/// reply line.
+#[test]
+fn corrected_predict_off_the_learners_profile_cluster_is_refused() {
+    let shards = spawn_shards(1);
+    let router = router_over(&shards, |_| {});
+    let request = Request::Predict(PredictSpec {
+        workload: Workload::Terasort,
+        nodes: 2,
+        cores: 8,
+        config: doppio_cluster::HybridConfig::HddHdd,
+        paper: false,
+        profile_nodes: 5,
+        corrected: true,
+    });
+    let mut lines = Vec::new();
+    for addr in [shards[0].addr(), router.addr()] {
+        let mut client = Client::connect(addr).expect("client connects");
+        let reply = client.call(request.clone(), Some(10_000)).expect("reply");
+        assert!(!reply.ok, "a 5-node corrected predict was answered");
+        assert_eq!(reply.error_code.as_deref(), Some("bad_request"));
+        let message = reply.error_message.clone().unwrap_or_default();
+        assert!(
+            message.contains("profile_nodes = 3"),
+            "the refusal names the field and the value it needs: {message}"
+        );
+        lines.push(reply.raw);
+    }
+    assert_eq!(lines[0], lines[1], "routed refusal differs from direct");
+
+    let v = stats_of(shards[0].addr());
+    assert_eq!(stat_at(&v, &["bad_requests"]), 2);
+    assert_eq!(stat_at(&v, &["admitted"]), 0, "no pool slot was spent");
+    assert_eq!(stat_at(&v, &["in_flight"]), 0, "no flight was opened");
+}
+
 /// Killing a key's owning shard re-routes its requests to the next ring
 /// successor — the breaker turns repeated connect failures into
 /// microsecond skips, and the tier keeps answering.
