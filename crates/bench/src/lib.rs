@@ -11,7 +11,7 @@
 
 use doppio_cluster::{ClusterSpec, HybridConfig};
 use doppio_engine::Engine;
-use doppio_model::{AppModel, Calibrator, SimPlatform};
+use doppio_model::{calibrate_paper, AppModel};
 use doppio_sparksim::{App, AppRun, Simulation, SparkConf};
 
 /// The scenario engine the bench targets share, sized by the `DOPPIO_JOBS`
@@ -98,15 +98,7 @@ pub fn error_bars(
 /// Calibrates the Doppio model for an application using the paper's
 /// four-sample-run procedure on a small profiling cluster.
 pub fn calibrate(app: &App, profile_slaves: usize) -> AppModel {
-    let platform = SimPlatform::new(
-        app.clone(),
-        doppio_cluster::presets::paper_node(36, HybridConfig::SsdSsd),
-        profile_slaves,
-        SparkConf::paper(),
-    );
-    let report = Calibrator::default()
-        .calibrate_with(&platform, app.name(), &engine())
-        .expect("calibration succeeds");
+    let report = calibrate_paper(app, profile_slaves, &engine()).expect("calibration succeeds");
     for w in &report.warnings {
         println!("  [calibration note] {w}");
     }

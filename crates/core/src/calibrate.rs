@@ -16,7 +16,7 @@
 //! warnings quoting the paper's resample rule ("double the requested SSD
 //! size", "shrink the requested HDD size by half").
 
-use doppio_cluster::{ClusterSpec, DiskRole, NodeSpec};
+use doppio_cluster::{presets, ClusterSpec, DiskRole, HybridConfig, NodeSpec};
 use doppio_engine::Engine;
 use doppio_events::Rate;
 use doppio_sparksim::{App, AppRun, IoChannel, SimError, Simulation, SparkConf, StageMetrics};
@@ -93,6 +93,31 @@ impl ProfilePlatform for SimPlatform {
         let cluster = ClusterSpec::homogeneous(self.nodes, node);
         Simulation::with_conf(cluster, self.conf.clone().with_cores(cores)).run(&self.app)
     }
+}
+
+/// Calibrates `app` the paper's way: the default [`Calibrator`]'s four
+/// sample runs on `profile_nodes` 36-core SSD-SSD paper nodes under
+/// [`SparkConf::paper`], with the model named after the app.
+///
+/// This is the one recipe behind every calibrated model the CLI prints
+/// and the serve tier answers with, so the same inputs give the same
+/// model bit for bit wherever they are calibrated.
+///
+/// # Errors
+///
+/// Fails as [`Calibrator::calibrate_with`] does.
+pub fn calibrate_paper(
+    app: &App,
+    profile_nodes: usize,
+    engine: &Engine,
+) -> Result<CalibrationReport, ModelError> {
+    let platform = SimPlatform::new(
+        app.clone(),
+        presets::paper_node(36, HybridConfig::SsdSsd),
+        profile_nodes,
+        SparkConf::paper(),
+    );
+    Calibrator::default().calibrate_with(&platform, app.name(), engine)
 }
 
 /// The §VI.1 calibrator.
@@ -421,7 +446,6 @@ fn stream_cap(conf: &SparkConf, ch: IoChannel) -> Rate {
 mod tests {
     use super::*;
     use doppio_cluster::presets::paper_node;
-    use doppio_cluster::HybridConfig;
     use doppio_events::Bytes;
     use doppio_sparksim::{AppBuilder, Cost, ShuffleSpec};
 

@@ -31,7 +31,8 @@
 //! * [`Calibrator`] — the paper's §VI.1 procedure: four profiling runs
 //!   (P=1 and P=2 all-SSD; P=16 with an HDD local dir; P=16 with an HDD
 //!   HDFS dir) against any [`ProfilePlatform`], deriving every model
-//!   constant plus sanity-check warnings.
+//!   constant plus sanity-check warnings. [`calibrate_paper`] is the
+//!   paper's recipe over it, the one the CLI and the serve tier share.
 //! * [`ErnestModel`] — an Ernest-style baseline (NNLS fit of
 //!   `θ₀ + θ₁/x + θ₂·log x + θ₃·x`) that ignores request-size-dependent
 //!   bandwidth, used to show why I/O-awareness matters.
@@ -79,7 +80,7 @@ pub mod whatif;
 
 pub use app::AppModel;
 pub use baseline::ErnestModel;
-pub use calibrate::{CalibrationReport, Calibrator, ProfilePlatform, SimPlatform};
+pub use calibrate::{calibrate_paper, CalibrationReport, Calibrator, ProfilePlatform, SimPlatform};
 pub use env::PredictEnv;
 pub use error::ModelError;
 pub use stage::{ChannelModel, StageModel};

@@ -181,8 +181,11 @@ impl Object {
     }
 
     /// Adds an array-of-strings field.
-    pub fn put_str_arr(&mut self, key: &str, vals: &[&str]) {
-        let body: Vec<String> = vals.iter().map(|v| format!("\"{}\"", escape(v))).collect();
+    pub fn put_str_arr(&mut self, key: &str, vals: &[impl AsRef<str>]) {
+        let body: Vec<String> = vals
+            .iter()
+            .map(|v| format!("\"{}\"", escape(v.as_ref())))
+            .collect();
         self.put_raw(key, format!("[{}]", body.join(", ")));
     }
 

@@ -93,6 +93,7 @@ pub mod shard;
 mod singleflight;
 #[allow(unsafe_code)]
 mod sys;
+pub mod verbs;
 
 pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use chaosproxy::{ChaosProfile, ChaosProxy};

@@ -20,7 +20,7 @@ use std::fmt;
 use doppio_cluster::HybridConfig;
 use doppio_engine::json::{self, Object, Value};
 use doppio_engine::{FingerprintBuilder, Fingerprintable};
-use doppio_learn::RunObservation;
+use doppio_learn::{config_token, RunObservation};
 use doppio_sparksim::FaultProfile;
 use doppio_workloads::Workload;
 
@@ -186,7 +186,7 @@ impl Fingerprintable for Request {
                 fp.write_str(workload_name(s.workload));
                 fp.write_usize(s.nodes);
                 fp.write_u32(s.cores);
-                fp.write_str(config_name(s.config));
+                fp.write_str(config_token(s.config));
                 fp.write_u64(s.seed);
                 fp.write_bool(s.paper);
                 match s.inject {
@@ -203,7 +203,7 @@ impl Fingerprintable for Request {
                 fp.write_str(workload_name(p.workload));
                 fp.write_usize(p.nodes);
                 fp.write_u32(p.cores);
-                fp.write_str(config_name(p.config));
+                fp.write_str(config_token(p.config));
                 fp.write_bool(p.paper);
                 fp.write_usize(p.profile_nodes);
                 // Written only when set so every pre-existing predict
@@ -342,25 +342,12 @@ impl DecodeError {
     }
 }
 
-/// The wire name of a disk configuration (canonical CLI tokens).
-pub fn config_name(c: HybridConfig) -> &'static str {
-    match c {
-        HybridConfig::SsdSsd => "2ssd",
-        HybridConfig::HddHdd => "2hdd",
-        HybridConfig::HddSsd => "hdd-ssd",
-        HybridConfig::SsdHdd => "ssd-hdd",
-    }
-}
-
-/// Parses a wire disk-configuration name.
+/// Parses a canonical wire disk-configuration token
+/// ([`config_token`]; no aliases).
 pub fn parse_config(s: &str) -> Option<HybridConfig> {
-    match s {
-        "2ssd" => Some(HybridConfig::SsdSsd),
-        "2hdd" => Some(HybridConfig::HddHdd),
-        "hdd-ssd" => Some(HybridConfig::HddSsd),
-        "ssd-hdd" => Some(HybridConfig::SsdHdd),
-        _ => None,
-    }
+    HybridConfig::ALL
+        .into_iter()
+        .find(|&c| config_token(c) == s)
 }
 
 /// The wire name of a workload — the CLI's lowercase tokens, not the
@@ -397,7 +384,7 @@ impl Envelope {
                 o.put_str("workload", workload_name(s.workload));
                 o.put_u64("nodes", s.nodes as u64);
                 o.put_u64("cores", u64::from(s.cores));
-                o.put_str("config", config_name(s.config));
+                o.put_str("config", config_token(s.config));
                 o.put_u64("seed", s.seed);
                 o.put_bool("paper", s.paper);
                 if let Some(p) = s.inject {
@@ -409,7 +396,7 @@ impl Envelope {
                 o.put_str("workload", workload_name(p.workload));
                 o.put_u64("nodes", p.nodes as u64);
                 o.put_u64("cores", u64::from(p.cores));
-                o.put_str("config", config_name(p.config));
+                o.put_str("config", config_token(p.config));
                 o.put_bool("paper", p.paper);
                 o.put_u64("profile_nodes", p.profile_nodes as u64);
                 if p.corrected {

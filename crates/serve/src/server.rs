@@ -20,8 +20,8 @@
 //!   corrected `predict` folds in the fingerprint of its workload's
 //!   current corrector, whose snapshot then rides into the evaluation.
 //!   A corrected predict must profile on the learners' calibration
-//!   cluster ([`LEARNER_PROFILE_NODES`] nodes); any other `profile_nodes`
-//!   is a `bad_request`.
+//!   cluster ([`PROFILE_NODES`] nodes): a corrector only corrects the
+//!   model fitted there, so any other `profile_nodes` is a `bad_request`.
 //! * **`observe`** goes direct: every observation is an ingest into its
 //!   workload's learner, never cached and never coalesced.
 //! * **`stats`/`health`** are rendered inline on the reactor thread — a
@@ -30,11 +30,11 @@
 //!
 //! # Determinism
 //!
-//! Workers evaluate with [`Engine::serial`] and build inputs exactly as
-//! the CLI and [`Scenario::run`] do, so a served `simulate` payload is
-//! bit-identical (every `f64` bit pattern) to serializing an in-process
-//! `ScenarioSet::run_all` result — the property `tests/serve_identity.rs`
-//! locks down.
+//! Workers evaluate the [`verbs`](crate::verbs) the CLI calls, with
+//! [`Engine::serial`], and only render their values here. A served
+//! `simulate` payload is bit-identical (every `f64` bit pattern) to
+//! serializing an in-process `ScenarioSet::run_all` result built like
+//! [`Scenario::run`] — the property `tests/serve_identity.rs` locks down.
 //!
 //! [`Scenario::run`]: ../../doppio/scenario/struct.Scenario.html
 
@@ -45,28 +45,20 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use doppio_cloud::optimize::{grid_search_with, r1_reference, r2_reference, SearchSpace};
-use doppio_cloud::{CostBreakdown, CostEvaluator, DiskChoice, EvaluateCost, MemoizedEvaluator};
-use doppio_cluster::{presets, ClusterSpec, HybridConfig};
+use doppio_cloud::{CostBreakdown, DiskChoice};
 use doppio_engine::json::Object;
 use doppio_engine::{Engine, FingerprintBuilder, Fingerprintable};
-use doppio_learn::{Corrector, Learner, RunObservation, Snapshot};
+use doppio_learn::{config_token, Corrector, Learner, RunObservation, Snapshot};
 use doppio_model::whatif::failure_inflation;
-use doppio_model::{AppModel, Calibrator, PredictEnv, SimPlatform};
-use doppio_sparksim::{FaultPlan, Simulation, SparkConf};
+use doppio_model::AppModel;
+use doppio_sparksim::json;
 use doppio_workloads::Workload;
 
 use crate::front::{
     self, cache_stats, lock_recover, read, tick, Answer, Backend, Front, FrontConfig, Handle, Route,
 };
-use crate::protocol::{
-    config_name, parse_workload, workload_name, ErrorCode, ErrorReply, PredictSpec, Request,
-    SimulateSpec,
-};
-
-/// Nodes in the profiling cluster every learner's base model is
-/// calibrated on. A corrector only corrects a model fitted there.
-pub(crate) const LEARNER_PROFILE_NODES: usize = 3;
+use crate::protocol::{parse_workload, workload_name, ErrorCode, ErrorReply, PredictSpec, Request};
+use crate::verbs::{self, eval_err, Optimum, Prediction, PROFILE_NODES};
 
 /// Server configuration knobs (all have serving-sized defaults).
 #[derive(Debug, Clone)]
@@ -137,11 +129,11 @@ impl Default for ServeConfig {
 pub(crate) struct LocalEval {
     panic_seed: Option<u64>,
     snapshot_dir: Option<PathBuf>,
-    /// Per-workload online recalibration state, keyed
-    /// `"{workload}|{paper}"`. The outer lock only guards map shape (fast
-    /// lookups/inserts); ingesting and snapshotting go through each
-    /// learner's own mutex, so a slow calibration never blocks admission.
-    learners: Mutex<HashMap<String, Arc<Mutex<Learner>>>>,
+    /// Per-workload online recalibration state. The outer lock only
+    /// guards map shape (fast lookups/inserts); ingesting and snapshotting
+    /// go through each learner's own mutex, so a slow calibration never
+    /// blocks admission.
+    learners: Mutex<HashMap<LearnerKey, Arc<Mutex<Learner>>>>,
     /// Observed runs ingested into per-workload recalibration windows.
     observations: AtomicU64,
 }
@@ -230,17 +222,17 @@ impl Backend for LocalEval {
         match request {
             Request::Observe(_) => Ok(Route::Direct(None)),
             Request::Predict(p) if p.corrected => {
-                if p.profile_nodes != LEARNER_PROFILE_NODES {
+                if p.profile_nodes != PROFILE_NODES {
                     return Err(ErrorReply::new(
                         ErrorCode::BadRequest,
                         format!(
-                            "a corrected predict needs profile_nodes = {LEARNER_PROFILE_NODES} \
+                            "a corrected predict needs profile_nodes = {PROFILE_NODES} \
                              (the learners' calibration cluster), got {}",
                             p.profile_nodes
                         ),
                     ));
                 }
-                let corrector = self.corrector_snapshot(workload_name(p.workload), p.paper);
+                let corrector = self.corrector_snapshot((p.workload, p.paper));
                 let mut fp = FingerprintBuilder::new();
                 request.fingerprint_into(&mut fp);
                 fp.write_fingerprint(corrector.fingerprint());
@@ -260,9 +252,17 @@ impl Backend for LocalEval {
             Request::Simulate(s) if self.panic_seed == Some(s.seed) => {
                 panic!("injected worker panic (panic_seed = {})", s.seed)
             }
-            Request::Simulate(s) => eval_simulate(s)?,
-            Request::Predict(p) => eval_predict(p, corrector.as_ref())?,
-            Request::Optimize { paper } => eval_optimize(*paper)?,
+            Request::Simulate(s) => json::app_run(&verbs::simulate(s)?).render_line(),
+            Request::Predict(p) => {
+                let engine = Engine::serial();
+                let calibration = verbs::calibrate(p.workload, p.paper, p.profile_nodes, &engine)?;
+                // `route` hands a corrected predict, and only that, its
+                // corrector snapshot.
+                render_predict(p, &verbs::predict(p, &calibration, corrector.as_ref())?)
+            }
+            Request::Optimize { paper } => {
+                render_optimize(*paper, &verbs::optimize(*paper, &Engine::serial())?)
+            }
             Request::WhatIf {
                 rate,
                 at_fraction,
@@ -297,9 +297,7 @@ impl Backend for LocalEval {
         o.put_u64("bad_requests", read(&c.bad_requests));
         o.put_u64("panics", read(&c.panics));
         o.put_u64("reaped", read(&c.reaped));
-        let (observations, corrector_version) = self.learn_counters();
-        o.put_u64("observations", observations);
-        o.put_u64("corrector_version", corrector_version);
+        self.put_learn_counters(&mut o);
         o.put_obj("cache", cache_stats(&front.cache));
         o.put_bool("draining", front.shared.is_draining());
         o
@@ -322,9 +320,7 @@ impl Backend for LocalEval {
         o.put_u64("queue_bound", queue_bound as u64);
         o.put_u64("in_flight", front.in_flight() as u64);
         o.put_u64("panics", read(&front.counters.panics));
-        let (observations, corrector_version) = self.learn_counters();
-        o.put_u64("observations", observations);
-        o.put_u64("corrector_version", corrector_version);
+        self.put_learn_counters(&mut o);
         let mut cache = Object::new();
         cache.put_u64("hits", front.cache.hits());
         cache.put_u64("misses", front.cache.misses());
@@ -346,10 +342,8 @@ impl LocalEval {
     /// The current corrector snapshot for a workload — identity until that
     /// workload's first observation arrives. Cheap enough for the reactor
     /// thread: two short lock holds and a small clone.
-    fn corrector_snapshot(&self, workload: &str, paper: bool) -> Corrector {
-        let slot = lock_recover(&self.learners)
-            .get(&learner_key(workload, paper))
-            .cloned();
+    fn corrector_snapshot(&self, key: LearnerKey) -> Corrector {
+        let slot = lock_recover(&self.learners).get(&key).cloned();
         match slot {
             Some(learner) => lock_recover(&learner).corrector().clone(),
             None => Corrector::identity(),
@@ -364,17 +358,17 @@ impl LocalEval {
     /// model.
     fn ingest_observation(&self, obs: &RunObservation) -> Result<String, ErrorReply> {
         let workload = parse_workload(&obs.workload).ok_or_else(|| {
-            ErrorReply::new(
-                ErrorCode::EvalFailed,
-                format!("observation names unknown workload '{}'", obs.workload),
-            )
+            eval_err(format!(
+                "observation names unknown workload '{}'",
+                obs.workload
+            ))
         })?;
-        let key = learner_key(&obs.workload, obs.paper);
+        let key = (workload, obs.paper);
         let slot = lock_recover(&self.learners).get(&key).cloned();
         let slot = match slot {
             Some(s) => s,
             None => {
-                let model = calibrate_base_model(workload, obs.paper)?;
+                let model = learner_base_model(workload, obs.paper)?;
                 let mut map = lock_recover(&self.learners);
                 Arc::clone(
                     map.entry(key)
@@ -408,45 +402,49 @@ impl LocalEval {
         Ok(o.render_line())
     }
 
-    /// The learn-tier observability pair: total observations ingested and
-    /// the sum of current corrector versions across workload learners.
-    /// Both are monotonic, so the router can aggregate them across shards
-    /// the same way it sums every other counter.
-    fn learn_counters(&self) -> (u64, u64) {
+    /// Adds the learn-tier observability pair: total observations
+    /// ingested and the sum of current corrector versions across workload
+    /// learners. Both are monotonic, so the router can aggregate them
+    /// across shards the same way it sums every other counter.
+    fn put_learn_counters(&self, o: &mut Object) {
         let learners: Vec<Arc<Mutex<Learner>>> =
             lock_recover(&self.learners).values().cloned().collect();
         let corrector_version = learners
             .iter()
             .map(|l| lock_recover(l).corrector().version())
             .sum();
-        (read(&self.observations), corrector_version)
+        o.put_u64("observations", read(&self.observations));
+        o.put_u64("corrector_version", corrector_version);
     }
 
     /// Captures and persists every live learner (drain path).
     fn flush_learners(&self, dir: &Path) {
-        let slots: Vec<(String, Arc<Mutex<Learner>>)> = lock_recover(&self.learners)
+        let slots: Vec<(LearnerKey, Arc<Mutex<Learner>>)> = lock_recover(&self.learners)
             .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
+            .map(|(&k, v)| (k, Arc::clone(v)))
             .collect();
-        for (key, slot) in slots {
-            let Some((workload, paper)) = key.rsplit_once('|') else {
-                continue;
-            };
+        for ((workload, paper), slot) in slots {
             let snap = {
                 let learner = lock_recover(&slot);
-                Snapshot::capture(&learner, workload, paper == "true")
+                Snapshot::capture(&learner, workload_name(workload), paper)
             };
             write_snapshot(dir, &snap);
         }
     }
 }
 
-/// The per-workload learner registry key. `paper` is part of the key
-/// because the paper-scale and scaled-down apps calibrate to different
-/// models — their observations must never mix.
-fn learner_key(workload: &str, paper: bool) -> String {
-    format!("{workload}|{paper}")
+/// The model a workload's learner corrects: the `predict` calibration
+/// (serial engine) on the learners' profiling cluster, so a corrected
+/// predict's base model and the model its corrector was fitted against
+/// are bit-identical.
+fn learner_base_model(workload: Workload, paper: bool) -> Result<AppModel, ErrorReply> {
+    Ok(verbs::calibrate(workload, paper, PROFILE_NODES, &Engine::serial())?.model)
 }
+
+/// The per-workload learner registry key: the workload and whether it
+/// runs at paper scale. Paper-scale and scaled-down apps calibrate to
+/// different models, so their observations must never mix.
+type LearnerKey = (Workload, bool);
 
 // ---------------------------------------------------------------------------
 // Durable learner state (the self-healing tier's persistence half).
@@ -482,211 +480,77 @@ fn write_snapshot(dir: &Path, snap: &Snapshot) {
 /// fingerprint is verified in [`Snapshot::restore`]; files that fail to
 /// parse, name unknown workloads, or verify against a different model
 /// are skipped with a note on stderr rather than wedging startup.
-fn restore_learners(dir: &Path) -> HashMap<String, Arc<Mutex<Learner>>> {
-    let mut out = HashMap::new();
+fn restore_learners(dir: &Path) -> HashMap<LearnerKey, Arc<Mutex<Learner>>> {
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return out;
+        return HashMap::new();
     };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if !path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with(".snapshot.ndjson"))
-        {
-            continue;
-        }
-        let skip = |why: String| {
-            eprintln!(
-                "doppio-serve: skipping learner snapshot {}: {why}",
-                path.display()
-            );
-        };
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            skip("unreadable".into());
-            continue;
-        };
-        let snap = match Snapshot::parse(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                skip(e.to_string());
-                continue;
-            }
-        };
-        let Some(workload) = parse_workload(&snap.workload) else {
-            skip(format!("unknown workload '{}'", snap.workload));
-            continue;
-        };
-        let model = match calibrate_base_model(workload, snap.paper) {
-            Ok(m) => m,
-            Err(e) => {
-                skip(e.message);
-                continue;
-            }
-        };
-        match snap.restore(model) {
-            Ok(learner) => {
-                out.insert(
-                    learner_key(&snap.workload, snap.paper),
-                    Arc::new(Mutex::new(learner)),
-                );
-            }
-            Err(e) => skip(e.to_string()),
-        }
-    }
-    out
+    entries
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|path| {
+            let name = path.file_name().and_then(|n| n.to_str());
+            name.is_some_and(|n| n.ends_with(".snapshot.ndjson"))
+        })
+        .filter_map(|path| {
+            let skip = |why| {
+                let path = path.display();
+                eprintln!("doppio-serve: skipping learner snapshot {path}: {why}");
+            };
+            restore_learner(&path).map_err(skip).ok()
+        })
+        .collect()
 }
 
-/// Calibrates the analytical model a workload's learner corrects — the
-/// exact `eval_predict` recipe (serial engine, 3-node profiling cluster,
-/// paper node preset), so a corrected predict's base model and the model
-/// the corrector was fitted against are bit-identical.
-fn calibrate_base_model(workload: Workload, paper: bool) -> Result<AppModel, ErrorReply> {
-    let app = if paper {
-        workload.paper_app()
-    } else {
-        workload.scaled_app()
-    };
-    let engine = Engine::serial();
-    let platform = SimPlatform::new(
-        app.clone(),
-        presets::paper_node(36, HybridConfig::SsdSsd),
-        LEARNER_PROFILE_NODES,
-        SparkConf::paper(),
-    );
-    let report = Calibrator::default()
-        .calibrate_with(&platform, app.name(), &engine)
-        .map_err(eval_err)?;
-    Ok(report.model)
+/// Restores one snapshot file into its registry key and learner.
+fn restore_learner(path: &Path) -> Result<(LearnerKey, Arc<Mutex<Learner>>), String> {
+    let text = std::fs::read_to_string(path).map_err(|_| "unreadable".to_string())?;
+    let snap = Snapshot::parse(&text).map_err(|e| e.to_string())?;
+    let workload = parse_workload(&snap.workload)
+        .ok_or_else(|| format!("unknown workload '{}'", snap.workload))?;
+    let model = learner_base_model(workload, snap.paper).map_err(|e| e.message)?;
+    let learner = snap.restore(model).map_err(|e| e.to_string())?;
+    Ok(((workload, snap.paper), Arc::new(Mutex::new(learner))))
 }
 
 // ---------------------------------------------------------------------------
-// Evaluation: the same inputs the CLI builds, run with a serial engine.
+// The wire renderers: each verb's typed value as its `doppio-*/v1` payload.
 // ---------------------------------------------------------------------------
 
-fn eval_err(e: impl std::fmt::Display) -> ErrorReply {
-    ErrorReply::new(ErrorCode::EvalFailed, e.to_string())
-}
-
-/// Mirrors `doppio simulate` (and `Scenario::run`) input construction
-/// exactly — same cluster preset, same `SparkConf::paper()` base, same
-/// fault-plan horizon rule — so served results are bit-identical to
-/// in-process ones.
-fn eval_simulate(s: &SimulateSpec) -> Result<String, ErrorReply> {
-    let app = if s.paper {
-        s.workload.paper_app()
-    } else {
-        s.workload.scaled_app()
-    };
-    let cluster = ClusterSpec::paper_cluster(s.nodes, 36, s.config);
-    let conf = SparkConf::paper().with_cores(s.cores).with_seed(s.seed);
-    let faults = match s.inject {
-        None => FaultPlan::empty(),
-        Some(profile) => {
-            let clean = Simulation::with_conf(cluster.clone(), conf.clone())
-                .run(&app)
-                .map_err(eval_err)?;
-            let horizon = clean.total_time().as_secs();
-            profile.plan(s.fault_seed, s.nodes, horizon)
-        }
-    };
-    let run = Simulation::with_conf(cluster, conf)
-        .with_faults(faults)
-        .run(&app)
-        .map_err(eval_err)?;
-    Ok(doppio_sparksim::json::app_run(&run).render_line())
-}
-
-/// Mirrors `doppio predict`: calibrate on the profiling cluster, simulate
-/// the target for the "experiment" column, evaluate Eq. 1 per stage.
-///
-/// When `p.corrected` is set the payload *adds* per-stage and total
-/// corrected fields next to the analytical ones; the uncorrected payload
-/// is rendered by exactly the code that rendered it before correctors
-/// existed, byte for byte.
-fn eval_predict(p: &PredictSpec, corrector: Option<&Corrector>) -> Result<String, ErrorReply> {
-    let identity;
-    let corrector = match (p.corrected, corrector) {
-        (false, _) => None,
-        (true, Some(c)) => Some(c),
-        (true, None) => {
-            identity = Corrector::identity();
-            Some(&identity)
-        }
-    };
-    let app = if p.paper {
-        p.workload.paper_app()
-    } else {
-        p.workload.scaled_app()
-    };
-    let engine = Engine::serial();
-    let platform = SimPlatform::new(
-        app.clone(),
-        presets::paper_node(36, HybridConfig::SsdSsd),
-        p.profile_nodes,
-        SparkConf::paper(),
-    );
-    let report = Calibrator::default()
-        .calibrate_with(&platform, app.name(), &engine)
-        .map_err(eval_err)?;
-    let run = Simulation::with_conf(
-        ClusterSpec::paper_cluster(p.nodes, 36, p.config),
-        SparkConf::paper().with_cores(p.cores).without_noise(),
-    )
-    .run(&app)
-    .map_err(eval_err)?;
-    let env = PredictEnv::hybrid(p.nodes, p.cores, p.config);
-
+fn render_predict(p: &PredictSpec, prediction: &Prediction) -> String {
     let mut o = Object::new();
     o.put_str("schema", "doppio-predict/v1");
     o.put_str("workload", workload_name(p.workload));
     o.put_u64("nodes", p.nodes as u64);
     o.put_u64("cores", u64::from(p.cores));
-    o.put_str("config", config_name(p.config));
+    o.put_str("config", config_token(p.config));
     o.put_obj_arr(
         "stages",
-        run.stages()
+        prediction
+            .stages
             .iter()
             .map(|s| {
-                let model_stage = report
-                    .model
-                    .stages()
-                    .iter()
-                    .zip(run.stages())
-                    .filter(|(_, rs)| rs.name == s.name)
-                    .map(|(ms, _)| ms)
-                    .next();
-                let pred = model_stage.map_or(0.0, |ms| ms.predict(&env));
                 let mut so = Object::new();
                 so.put_str("name", &s.name);
-                so.put_f64("exp_secs", s.duration.as_secs());
-                so.put_f64("model_secs", pred);
-                if let Some(c) = corrector {
-                    so.put_f64(
-                        "corrected_secs",
-                        model_stage.map_or(0.0, |ms| c.correct_stage(ms, &env)),
-                    );
+                so.put_f64("exp_secs", s.exp_secs);
+                so.put_f64("model_secs", s.model_secs);
+                if let Some(corrected) = s.corrected_secs {
+                    so.put_f64("corrected_secs", corrected);
                 }
                 so
             })
             .collect(),
     );
-    o.put_f64("total_exp_secs", run.total_time().as_secs());
-    o.put_f64("total_model_secs", report.model.predict(&env));
-    if let Some(c) = corrector {
-        o.put_f64("total_corrected_secs", c.correct_app(&report.model, &env));
-        o.put_str("corrector", c.kind());
-        o.put_u64("corrector_version", c.version());
+    o.put_f64("total_exp_secs", prediction.total_exp_secs);
+    o.put_f64("total_model_secs", prediction.total_model_secs);
+    if let (Some(total), Some((kind, version))) =
+        (prediction.total_corrected_secs, prediction.corrector)
+    {
+        o.put_f64("total_corrected_secs", total);
+        o.put_str("corrector", kind);
+        o.put_u64("corrector_version", version);
     }
-    o.put_str_arr(
-        "warnings",
-        &report
-            .warnings
-            .iter()
-            .map(String::as_str)
-            .collect::<Vec<_>>(),
-    );
-    Ok(o.render_line())
+    o.put_str_arr("warnings", &prediction.warnings);
+    o.render_line()
 }
 
 fn disk_choice(dc: &DiskChoice) -> Object {
@@ -705,30 +569,8 @@ fn cost(c: &CostBreakdown) -> Object {
     o
 }
 
-/// Mirrors `doppio optimize`: calibrate GATK4, grid-search the paper's
-/// §VI space, price the R1/R2 reference configurations.
-fn eval_optimize(paper: bool) -> Result<String, ErrorReply> {
-    let app = if paper {
-        doppio_workloads::Workload::Gatk4.paper_app()
-    } else {
-        doppio_workloads::Workload::Gatk4.scaled_app()
-    };
-    let engine = Engine::serial();
-    let platform = SimPlatform::new(
-        app,
-        presets::paper_node(36, HybridConfig::SsdSsd),
-        3,
-        SparkConf::paper(),
-    );
-    let model = Calibrator::default()
-        .calibrate_with(&platform, "GATK4", &engine)
-        .map_err(eval_err)?
-        .model;
-    let eval = MemoizedEvaluator::new(CostEvaluator::new(model));
-    let best = grid_search_with(&eval, &SearchSpace::paper(), &engine);
-    let r1 = eval.evaluate(&r1_reference(10, 16));
-    let r2 = eval.evaluate(&r2_reference(10, 16));
-
+fn render_optimize(paper: bool, optimum: &Optimum) -> String {
+    let best = &optimum.best;
     let mut cfg = Object::new();
     cfg.put_u64("nodes", best.config.nodes as u64);
     cfg.put_u64("vcpus", u64::from(best.config.vcpus));
@@ -741,11 +583,11 @@ fn eval_optimize(paper: bool) -> Result<String, ErrorReply> {
     o.put_obj("config", cfg);
     o.put_obj("cost", cost(&best.cost));
     o.put_u64("evaluations", best.evaluations as u64);
-    o.put_obj("r1", cost(&r1));
-    o.put_obj("r2", cost(&r2));
-    o.put_f64("savings_vs_r1", 1.0 - best.cost.total() / r1.total());
-    o.put_f64("savings_vs_r2", 1.0 - best.cost.total() / r2.total());
-    Ok(o.render_line())
+    o.put_obj("r1", cost(&optimum.r1));
+    o.put_obj("r2", cost(&optimum.r2));
+    o.put_f64("savings_vs_r1", optimum.savings_vs(&optimum.r1));
+    o.put_f64("savings_vs_r2", optimum.savings_vs(&optimum.r2));
+    o.render_line()
 }
 
 fn eval_whatif(rate: f64, at_fraction: f64, max_failures: u32) -> String {

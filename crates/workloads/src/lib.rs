@@ -106,6 +106,15 @@ impl Workload {
             Workload::Terasort => terasort::app(&terasort::Params::scaled_down()),
         }
     }
+
+    /// The paper-scale app when `paper` is set, else the scaled-down one.
+    pub fn app(self, paper: bool) -> App {
+        if paper {
+            self.paper_app()
+        } else {
+            self.scaled_app()
+        }
+    }
 }
 
 impl std::fmt::Display for Workload {
@@ -132,6 +141,17 @@ mod tests {
         for w in Workload::ALL {
             let app = w.paper_app();
             assert!(app.num_rdds() > 0, "{w}");
+        }
+    }
+
+    #[test]
+    fn every_app_is_named_after_its_workload() {
+        // Calibrated models take their name from the app, so a workload
+        // and both of its apps must agree on it.
+        for w in Workload::ALL {
+            for paper in [false, true] {
+                assert_eq!(w.app(paper).name(), w.name(), "{w} paper={paper}");
+            }
         }
     }
 }

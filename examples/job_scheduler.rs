@@ -11,21 +11,15 @@
 //! cargo run --release --example job_scheduler
 //! ```
 
-use doppio::cluster::{presets, ClusterSpec, HybridConfig};
+use doppio::cluster::{ClusterSpec, HybridConfig};
+use doppio::engine::Engine;
 use doppio::model::scheduler::{schedule, Policy, QueuedJob};
-use doppio::model::{Calibrator, PredictEnv, SimPlatform};
+use doppio::model::{calibrate_paper, PredictEnv};
 use doppio::sparksim::{App, Simulation, SparkConf};
 use doppio::workloads::{svm, terasort, triangle};
 
 fn calibrated(app: App) -> doppio::model::AppModel {
-    let platform = SimPlatform::new(
-        app,
-        presets::paper_node(36, HybridConfig::SsdSsd),
-        3,
-        SparkConf::paper(),
-    );
-    Calibrator::default()
-        .calibrate(&platform, "job")
+    calibrate_paper(&app, 3, &Engine::serial())
         .expect("calibration succeeds")
         .model
 }

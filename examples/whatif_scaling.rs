@@ -7,23 +7,17 @@
 //! cargo run --release --example whatif_scaling
 //! ```
 
-use doppio::cluster::{presets, HybridConfig};
+use doppio::cluster::HybridConfig;
+use doppio::engine::Engine;
 use doppio::model::whatif::{cores_sweep, local_device_sweep, nodes_sweep};
-use doppio::model::{Calibrator, PredictEnv, SimPlatform};
-use doppio::sparksim::SparkConf;
+use doppio::model::{calibrate_paper, PredictEnv};
 use doppio::workloads::terasort;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = terasort::app(&terasort::Params::scaled_down());
 
     println!("calibrating Terasort with the four-sample-run procedure (N = 3)...");
-    let platform = SimPlatform::new(
-        app,
-        presets::paper_node(36, HybridConfig::SsdSsd),
-        3,
-        SparkConf::paper(),
-    );
-    let report = Calibrator::default().calibrate(&platform, "terasort")?;
+    let report = calibrate_paper(&app, 3, &Engine::serial())?;
     let model = report.model;
     for s in model.stages() {
         println!("  {s}");

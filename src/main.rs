@@ -30,15 +30,17 @@
 
 use std::process::ExitCode;
 
-use doppio::cloud::optimize::{grid_search_with, r1_reference, r2_reference, SearchSpace};
-use doppio::cloud::{disks, CloudDiskType, CostEvaluator, EvaluateCost, MemoizedEvaluator};
-use doppio::cluster::{presets, ClusterSpec, HybridConfig, StorageProfile};
+use doppio::cloud::{disks, CloudDiskType};
+use doppio::cluster::{HybridConfig, StorageProfile};
 use doppio::engine::Engine;
 use doppio::events::Bytes;
+use doppio::learn::parse_config_token as parse_config;
 use doppio::model::phases::{break_point, classify, turning_point};
-use doppio::model::{Calibrator, PredictEnv, SimPlatform};
+use doppio::model::PredictEnv;
 use doppio::scenario::ScenarioSet;
-use doppio::sparksim::{FaultPlan, FaultProfile, IoChannel, Simulation, SparkConf};
+use doppio::serve::protocol::{self, workload_name};
+use doppio::serve::{verbs, PredictSpec, SimulateSpec};
+use doppio::sparksim::{FaultProfile, IoChannel};
 use doppio::storage::fio::{run_analytic, FioJob};
 use doppio::workloads::Workload;
 
@@ -49,6 +51,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
+    if rest.iter().any(|a| a == "-h" || a == "--help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let result = match cmd.as_str() {
         "fio" => cmd_fio(rest),
         "simulate" => cmd_simulate(rest),
@@ -191,29 +197,16 @@ fn flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == key)
 }
 
-fn parse_config(s: &str) -> Result<HybridConfig, String> {
-    match s {
-        "2ssd" | "ssd" => Ok(HybridConfig::SsdSsd),
-        "2hdd" | "hdd" => Ok(HybridConfig::HddHdd),
-        "hdd-ssd" => Ok(HybridConfig::HddSsd),
-        "ssd-hdd" => Ok(HybridConfig::SsdHdd),
-        other => Err(format!(
-            "unknown config '{other}' (2ssd|2hdd|hdd-ssd|ssd-hdd)"
-        )),
-    }
-}
-
+/// A workload's wire token, or one of the CLI's short aliases.
 fn parse_workload(s: &str) -> Result<Workload, String> {
-    Ok(match s {
-        "gatk4" => Workload::Gatk4,
-        "lr-small" => Workload::LrSmall,
-        "lr-large" => Workload::LrLarge,
-        "svm" => Workload::Svm,
-        "pagerank" | "pr" => Workload::PageRank,
-        "triangle" | "tc" => Workload::TriangleCount,
-        "terasort" | "ts" => Workload::Terasort,
-        other => return Err(format!("unknown workload '{other}' (try `doppio list`)")),
-    })
+    let token = match s {
+        "pr" => "pagerank",
+        "tc" => "triangle",
+        "ts" => "terasort",
+        other => other,
+    };
+    protocol::parse_workload(token)
+        .ok_or_else(|| format!("unknown workload '{s}' (try `doppio list`)"))
 }
 
 fn parse_num<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, String> {
@@ -353,51 +346,41 @@ fn cmd_fio(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let workload = parse_workload(opt(args, "--workload").ok_or("missing --workload")?)?;
-    let nodes: usize = parse_num(args, "--nodes", 3)?;
-    let cores: u32 = parse_num(args, "--cores", 36)?;
-    let seed: u64 = parse_num(args, "--seed", 0xD0_99_10)?;
-    let fault_seed: u64 = parse_num(args, "--fault-seed", 7)?;
+    let spec = SimulateSpec {
+        workload: parse_workload(opt(args, "--workload").ok_or("missing --workload")?)?,
+        nodes: parse_num(args, "--nodes", 3)?,
+        cores: parse_num(args, "--cores", 36)?,
+        config: parse_config(opt(args, "--config").unwrap_or("2ssd"))?,
+        seed: parse_num(args, "--seed", 0xD0_99_10)?,
+        paper: flag(args, "--paper"),
+        inject: parse_fault_profile(args)?,
+        fault_seed: parse_num(args, "--fault-seed", 7)?,
+    };
     let runs: u64 = parse_num(args, "--runs", 1)?;
     let batch: usize = parse_num(args, "--batch", 8)?;
     let engine = parse_engine(args)?;
-    let config = parse_config(opt(args, "--config").unwrap_or("2ssd"))?;
-    let app = if flag(args, "--paper") {
-        workload.paper_app()
-    } else {
-        workload.scaled_app()
-    };
+    let name = spec.workload.name();
 
     let emit_observation = flag(args, "--emit-observation");
     if emit_observation && runs > 1 {
         return Err("--emit-observation records a single run; drop --runs".into());
     }
-
     let storage = parse_storage(args)?;
-    let cluster = ClusterSpec::paper_cluster(nodes, 36, config).with_storage(storage);
-    let conf = SparkConf::paper().with_cores(cores);
-
-    // `--inject` expands a named profile into a concrete plan. The profile
-    // places events relative to the run's length, so a clean run supplies
-    // the horizon first; the plan itself depends only on (profile,
-    // fault-seed, nodes, horizon) and replays identically at any --jobs.
-    let injected: Option<(FaultProfile, f64, FaultPlan)> = match parse_fault_profile(args)? {
-        None => None,
-        Some(profile) => {
-            let clean = Simulation::with_conf(cluster.clone(), conf.clone().with_seed(seed))
-                .run(&app)
-                .map_err(|e| e.to_string())?;
-            let horizon = clean.total_time().as_secs();
-            Some((profile, horizon, profile.plan(fault_seed, nodes, horizon)))
-        }
-    };
+    let inputs = verbs::SimInputs::new(&spec, storage).map_err(|e| e.message)?;
 
     if runs > 1 {
-        let seeds: Vec<u64> = (0..runs).map(|i| seed.wrapping_add(i)).collect();
-        let mut set = ScenarioSet::seeded_replicas(workload.name(), app, cluster, conf, &seeds);
-        if let Some((_, _, plan)) = &injected {
-            set = set.with_fault_plan(plan.clone());
-        }
+        let seeds: Vec<u64> = (0..runs).map(|i| spec.seed.wrapping_add(i)).collect();
+        // Every replica replays the one plan, placed by the base seed's
+        // clean run, so results are identical at any --jobs.
+        let verbs::SimInputs {
+            app,
+            cluster,
+            conf,
+            faults,
+            ..
+        } = inputs;
+        let set =
+            ScenarioSet::seeded_replicas(name, app, cluster, conf, &seeds).with_fault_plan(faults);
         let results = set.run_batched(&engine, batch).map_err(|e| e.to_string())?;
         let mins: Vec<f64> = results
             .iter()
@@ -407,7 +390,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         let spread = mins.iter().fold(0.0f64, |m, &v| m.max((v - mean).abs()));
         println!(
             "{} x{} seeded runs ({} jobs): mean {:.1} min, max dev {:.1} min",
-            workload.name(),
+            name,
             runs,
             engine.jobs(),
             mean,
@@ -421,31 +404,27 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                 println!("  seed {s:>8}: {m:>7.1} min  [{faults}]");
             }
         }
-        if let Some((profile, _, _)) = &injected {
+        if let Some(profile) = spec.inject {
             println!(
-                "fault profile '{}' (fault seed {fault_seed})",
-                profile.name()
+                "fault profile '{}' (fault seed {})",
+                profile.name(),
+                spec.fault_seed
             );
         }
         return Ok(());
     }
 
-    let sim = Simulation::with_conf(cluster, conf.with_seed(seed));
-    let run = match &injected {
-        Some((_, _, plan)) => sim.with_faults(plan.clone()),
-        None => sim,
-    }
-    .run(&app)
-    .map_err(|e| e.to_string())?;
+    let clean_secs = inputs.clean_secs;
+    let run = inputs.run().map_err(|e| e.message)?;
     // `--emit-observation` replaces the human report with the one NDJSON
     // line the serve tier ingests — pipe it straight into a fixture file.
     if emit_observation {
         let obs = doppio::learn::RunObservation::from_run(
-            doppio::serve::protocol::workload_name(workload),
-            nodes,
-            cores,
-            config,
-            flag(args, "--paper"),
+            workload_name(spec.workload),
+            spec.nodes,
+            spec.cores,
+            spec.config,
+            spec.paper,
             &run,
         );
         println!("{}", obs.to_json_line());
@@ -466,11 +445,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         }
         println!();
     }
-    if let Some((profile, clean_secs, _)) = injected {
+    if let (Some(profile), Some(clean_secs)) = (spec.inject, clean_secs) {
         let faulty_secs = run.total_time().as_secs();
         println!(
-            "fault injection '{}' (fault seed {fault_seed}):",
-            profile.name()
+            "fault injection '{}' (fault seed {}):",
+            profile.name(),
+            spec.fault_seed
         );
         println!(
             "  clean {:.1} min -> faulty {:.1} min ({:+.1}%)",
@@ -483,42 +463,47 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_predict(args: &[String]) -> Result<(), String> {
-    let workload = parse_workload(opt(args, "--workload").ok_or("missing --workload")?)?;
-    let nodes: usize = parse_num(args, "--nodes", 5)?;
-    let cores: u32 = parse_num(args, "--cores", 36)?;
-    let profile_nodes: usize = parse_num(args, "--profile-nodes", 3)?;
-    let config = parse_config(opt(args, "--config").unwrap_or("2ssd"))?;
-    let app = if flag(args, "--paper") {
-        workload.paper_app()
+/// Relative error of `pred` against `exp`, in percent (0 when `exp` is 0).
+fn err_pct(pred: f64, exp: f64) -> f64 {
+    if exp > 0.0 {
+        (pred - exp).abs() / exp * 100.0
     } else {
-        workload.scaled_app()
+        0.0
+    }
+}
+
+fn cmd_predict(args: &[String]) -> Result<(), String> {
+    let observe_log = opt(args, "--observe-log");
+    let spec = PredictSpec {
+        workload: parse_workload(opt(args, "--workload").ok_or("missing --workload")?)?,
+        nodes: parse_num(args, "--nodes", 5)?,
+        cores: parse_num(args, "--cores", 36)?,
+        config: parse_config(opt(args, "--config").unwrap_or("2ssd"))?,
+        paper: flag(args, "--paper"),
+        profile_nodes: parse_num(args, "--profile-nodes", verbs::PROFILE_NODES)?,
+        // `--observe-log` replays recorded runs into an online learner
+        // before predicting; `--corrected` (implied by a log) adds its
+        // column.
+        corrected: flag(args, "--corrected") || observe_log.is_some(),
     };
 
     let engine = parse_engine(args)?;
     eprintln!(
-        "calibrating on {profile_nodes} nodes (4 sample runs, {} jobs)...",
+        "calibrating on {} nodes (4 sample runs, {} jobs)...",
+        spec.profile_nodes,
         engine.jobs()
     );
-    let platform = SimPlatform::new(
-        app.clone(),
-        presets::paper_node(36, HybridConfig::SsdSsd),
-        profile_nodes,
-        SparkConf::paper(),
-    );
-    let report = Calibrator::default()
-        .calibrate_with(&platform, app.name(), &engine)
-        .map_err(|e| e.to_string())?;
-    for w in &report.warnings {
+    let calibration = verbs::calibrate(spec.workload, spec.paper, spec.profile_nodes, &engine)
+        .map_err(|e| e.message)?;
+    for w in &calibration.warnings {
         eprintln!("note: {w}");
     }
 
-    // `--observe-log` replays recorded runs into an online learner before
-    // predicting; `--corrected` (implied by a log) adds its column.
-    let corrected = flag(args, "--corrected") || opt(args, "--observe-log").is_some();
-    let mut learner = corrected.then(|| doppio::learn::Learner::new(report.model.clone()));
-    if let (Some(path), Some(learner)) = (opt(args, "--observe-log"), learner.as_mut()) {
-        let wire = doppio::serve::protocol::workload_name(workload);
+    let mut learner = spec
+        .corrected
+        .then(|| doppio::learn::Learner::new(calibration.model.clone()));
+    if let (Some(path), Some(learner)) = (observe_log, learner.as_mut()) {
+        let wire = workload_name(spec.workload);
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         let mut ingested = 0u64;
         for (i, line) in text.lines().enumerate() {
@@ -540,23 +525,20 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
             learner.corrector().version()
         );
     }
-
-    let cluster = ClusterSpec::paper_cluster(nodes, 36, config);
-    let run = Simulation::with_conf(
-        cluster,
-        SparkConf::paper().with_cores(cores).without_noise(),
+    let prediction = verbs::predict(
+        &spec,
+        &calibration,
+        learner.as_ref().map(doppio::learn::Learner::corrector),
     )
-    .run(&app)
-    .map_err(|e| e.to_string())?;
-    let env = PredictEnv::hybrid(nodes, cores, config);
+    .map_err(|e| e.message)?;
 
     println!(
         "target: {} nodes x {} cores, {}",
-        nodes,
-        cores,
-        config.label()
+        spec.nodes,
+        spec.cores,
+        spec.config.label()
     );
-    match &learner {
+    match prediction.corrector {
         Some(_) => println!(
             "  {:<24} {:>10} {:>12} {:>8} {:>11} {:>8}",
             "stage", "exp (min)", "model (min)", "err %", "corr (min)", "err %"
@@ -566,84 +548,49 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
             "stage", "exp (min)", "model (min)", "err %"
         ),
     }
-    let mut analytic_pairs = Vec::new();
-    let mut corrected_pairs = Vec::new();
-    for s in run.stages() {
-        let exp = s.duration.as_secs();
-        let model_stage = report
-            .model
-            .stages()
-            .iter()
-            .zip(run.stages())
-            .filter(|(_, rs)| rs.name == s.name)
-            .map(|(ms, _)| ms)
-            .next();
-        let pred = model_stage.map_or(0.0, |ms| ms.predict(&env));
-        let err = if exp > 0.0 {
-            (pred - exp).abs() / exp * 100.0
-        } else {
-            0.0
-        };
-        analytic_pairs.push((pred, exp));
-        match &learner {
-            Some(learner) => {
-                let corr =
-                    model_stage.map_or(0.0, |ms| learner.corrector().correct_stage(ms, &env));
-                let cerr = if exp > 0.0 {
-                    (corr - exp).abs() / exp * 100.0
-                } else {
-                    0.0
-                };
-                corrected_pairs.push((corr, exp));
-                println!(
-                    "  {:<24} {:>10.1} {:>12.1} {:>8.1} {:>11.1} {:>8.1}",
-                    s.name,
-                    exp / 60.0,
-                    pred / 60.0,
-                    err,
-                    corr / 60.0,
-                    cerr
-                );
-            }
-            None => println!(
-                "  {:<24} {:>10.1} {:>12.1} {:>8.1}",
-                s.name,
-                exp / 60.0,
-                pred / 60.0,
-                err
-            ),
-        }
-    }
-    let total_exp = run.total_time().as_secs();
-    let total_pred = report.model.predict(&env);
-    match &learner {
-        Some(learner) => {
-            let total_corr = learner.corrected_predict(&env);
-            println!(
-                "  {:<24} {:>10.1} {:>12.1} {:>8.1} {:>11.1} {:>8.1}",
-                "TOTAL",
-                total_exp / 60.0,
-                total_pred / 60.0,
-                (total_pred - total_exp).abs() / total_exp * 100.0,
-                total_corr / 60.0,
-                (total_corr - total_exp).abs() / total_exp * 100.0
-            );
-            println!(
-                "per-stage MAPE: analytic {:.1}% | corrected {:.1}% ({} v{}, window {})",
-                doppio::learn::mape(&analytic_pairs),
-                doppio::learn::mape(&corrected_pairs),
-                learner.corrector().kind(),
-                learner.corrector().version(),
-                learner.window_len()
-            );
-        }
+    let row = |name: &str, exp: f64, pred: f64, corr: Option<f64>| match corr {
+        Some(corr) => println!(
+            "  {:<24} {:>10.1} {:>12.1} {:>8.1} {:>11.1} {:>8.1}",
+            name,
+            exp / 60.0,
+            pred / 60.0,
+            err_pct(pred, exp),
+            corr / 60.0,
+            err_pct(corr, exp)
+        ),
         None => println!(
             "  {:<24} {:>10.1} {:>12.1} {:>8.1}",
-            "TOTAL",
-            total_exp / 60.0,
-            total_pred / 60.0,
-            (total_pred - total_exp).abs() / total_exp * 100.0
+            name,
+            exp / 60.0,
+            pred / 60.0,
+            err_pct(pred, exp)
         ),
+    };
+    for s in &prediction.stages {
+        row(&s.name, s.exp_secs, s.model_secs, s.corrected_secs);
+    }
+    row(
+        "TOTAL",
+        prediction.total_exp_secs,
+        prediction.total_model_secs,
+        prediction.total_corrected_secs,
+    );
+    if let (Some((kind, version)), Some(learner)) = (prediction.corrector, &learner) {
+        let pairs = |secs: fn(&verbs::StagePrediction) -> f64| -> Vec<(f64, f64)> {
+            prediction
+                .stages
+                .iter()
+                .map(|s| (secs(s), s.exp_secs))
+                .collect()
+        };
+        println!(
+            "per-stage MAPE: analytic {:.1}% | corrected {:.1}% ({} v{}, window {})",
+            doppio::learn::mape(&pairs(|s| s.model_secs)),
+            doppio::learn::mape(&pairs(|s| s.corrected_secs.unwrap_or(0.0))),
+            kind,
+            version,
+            learner.window_len()
+        );
     }
     Ok(())
 }
@@ -677,28 +624,22 @@ fn cmd_cache_sweep(args: &[String]) -> Result<(), String> {
     if storage.is_local() {
         return Err("cache-sweep needs a remote tier; pick --storage s3|s3-cached|lustre".into());
     }
-    let app = if flag(args, "--paper") {
-        workload.paper_app()
-    } else {
-        workload.scaled_app()
-    };
     let engine = parse_engine(args)?;
 
     eprintln!(
-        "calibrating {} on 3 nodes (4 sample runs, {} jobs)...",
+        "calibrating {} on {} nodes (4 sample runs, {} jobs)...",
         workload.name(),
+        verbs::PROFILE_NODES,
         engine.jobs()
     );
-    let platform = SimPlatform::new(
-        app,
-        presets::paper_node(36, HybridConfig::SsdSsd),
-        3,
-        SparkConf::paper(),
-    );
-    let model = Calibrator::default()
-        .calibrate_with(&platform, workload.name(), &engine)
-        .map_err(|e| e.to_string())?
-        .model;
+    let model = verbs::calibrate(
+        workload,
+        flag(args, "--paper"),
+        verbs::PROFILE_NODES,
+        &engine,
+    )
+    .map_err(|e| e.message)?
+    .model;
 
     // The working set driving the hit ratio defaults to the model's HDFS
     // read volume — what the job actually re-reads from the tier.
@@ -822,39 +763,24 @@ fn cmd_cache_sweep(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_optimize(args: &[String]) -> Result<(), String> {
-    let app = if flag(args, "--paper") {
-        Workload::Gatk4.paper_app()
-    } else {
-        Workload::Gatk4.scaled_app()
-    };
     let engine = parse_engine(args)?;
-    eprintln!("calibrating GATK4 on 3 nodes ({} jobs)...", engine.jobs());
-    let platform = SimPlatform::new(
-        app,
-        presets::paper_node(36, HybridConfig::SsdSsd),
-        3,
-        SparkConf::paper(),
+    eprintln!(
+        "calibrating GATK4 on {} nodes ({} jobs)...",
+        verbs::PROFILE_NODES,
+        engine.jobs()
     );
-    let model = Calibrator::default()
-        .calibrate_with(&platform, "GATK4", &engine)
-        .map_err(|e| e.to_string())?
-        .model;
-    let eval = MemoizedEvaluator::new(CostEvaluator::new(model));
-    let best = grid_search_with(&eval, &SearchSpace::paper(), &engine);
-    let r1 = eval.evaluate(&r1_reference(10, 16));
-    let r2 = eval.evaluate(&r2_reference(10, 16));
-    println!("optimum: {} -> {}", best.config, best.cost);
+    let optimum = verbs::optimize(flag(args, "--paper"), &engine).map_err(|e| e.message)?;
+    println!("optimum: {} -> {}", optimum.best.config, optimum.best.cost);
     eprintln!(
         "evaluations: {} distinct, {} served from cache",
-        eval.misses(),
-        eval.hits()
+        optimum.cache_misses, optimum.cache_hits
     );
-    println!("R1 (Spark website): {r1}");
-    println!("R2 (Cloudera):      {r2}");
+    println!("R1 (Spark website): {}", optimum.r1);
+    println!("R2 (Cloudera):      {}", optimum.r2);
     println!(
         "savings: {:.0}% vs R1, {:.0}% vs R2 (paper: 38% / 57% at full scale)",
-        (1.0 - best.cost.total() / r1.total()) * 100.0,
-        (1.0 - best.cost.total() / r2.total()) * 100.0
+        optimum.savings_vs(&optimum.r1) * 100.0,
+        optimum.savings_vs(&optimum.r2) * 100.0
     );
     Ok(())
 }
