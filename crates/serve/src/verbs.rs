@@ -168,7 +168,8 @@ pub struct Prediction {
 ///
 /// # Errors
 ///
-/// `eval_failed` when the target simulation fails.
+/// `eval_failed` when the target simulation fails or its stages do not
+/// pair one to one, by name, with the model's.
 pub fn predict(
     p: &PredictSpec,
     calibration: &CalibrationReport,
@@ -182,26 +183,25 @@ pub fn predict(
     .map_err(eval_err)?;
     let env = PredictEnv::hybrid(p.nodes, p.cores, p.config);
     let model = &calibration.model;
-    let stages = run
-        .stages()
-        .iter()
-        .map(|s| {
-            let model_stage = model
-                .stages()
-                .iter()
-                .zip(run.stages())
-                .filter(|(_, rs)| rs.name == s.name)
-                .map(|(ms, _)| ms)
-                .next();
-            StagePrediction {
-                name: s.name.clone(),
-                exp_secs: s.duration.as_secs(),
-                model_secs: model_stage.map_or(0.0, |ms| ms.predict(&env)),
-                corrected_secs: corrector
-                    .map(|c| model_stage.map_or(0.0, |ms| c.correct_stage(ms, &env))),
-            }
+    // Model stage i is run stage i: the calibration's sample runs and the
+    // target run execute one app. Pair by position, and fail loudly if
+    // the stage lists disagree rather than borrow another stage's model.
+    let count = model.stages().len().max(run.stages().len());
+    let stages = (0..count)
+        .map(|i| match (model.stages().get(i), run.stages().get(i)) {
+            (Some(ms), Some(rs)) if ms.name == rs.name => Ok(StagePrediction {
+                name: rs.name.clone(),
+                exp_secs: rs.duration.as_secs(),
+                model_secs: ms.predict(&env),
+                corrected_secs: corrector.map(|c| c.correct_stage(ms, &env)),
+            }),
+            (ms, rs) => Err(eval_err(format!(
+                "stage {i} does not pair: the model has '{}', the run '{}'",
+                ms.map_or("no stage", |s| s.name.as_str()),
+                rs.map_or("no stage", |s| s.name.as_str())
+            ))),
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     Ok(Prediction {
         stages,
         total_exp_secs: run.total_time().as_secs(),
@@ -259,4 +259,37 @@ pub fn optimize(paper: bool, engine: &Engine) -> Result<Optimum, ErrorReply> {
         cache_hits: eval.hits(),
         cache_misses: eval.misses(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use doppio_cluster::HybridConfig;
+
+    #[test]
+    fn predict_refuses_a_model_whose_stages_do_not_pair_with_the_run() {
+        // A terasort model against a PageRank target: stage 0 already
+        // carries different names on the two sides.
+        let calibration =
+            calibrate(Workload::Terasort, false, 1, &Engine::serial()).expect("calibrates");
+        let spec = PredictSpec {
+            workload: Workload::PageRank,
+            nodes: 2,
+            cores: 8,
+            config: HybridConfig::SsdSsd,
+            paper: false,
+            profile_nodes: 1,
+            corrected: false,
+        };
+        let err = predict(&spec, &calibration, None).expect_err("stage lists differ");
+        assert_eq!(err.code, ErrorCode::EvalFailed);
+        let model_stage = &calibration.model.stages()[0].name;
+        assert!(
+            err.message.starts_with(&format!(
+                "stage 0 does not pair: the model has '{model_stage}', the run '"
+            )),
+            "{}",
+            err.message
+        );
+    }
 }
