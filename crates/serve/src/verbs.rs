@@ -24,8 +24,9 @@ use doppio_workloads::Workload;
 use crate::protocol::{ErrorCode, ErrorReply, PredictSpec, SimulateSpec};
 
 /// Nodes in the paper's profiling cluster (§VI.1: "usually under a small
-/// number of nodes N (e.g. N = 3)"): `optimize` calibrates there, and it
-/// is the default `profile_nodes` of `predict`.
+/// number of nodes N (e.g. N = 3)"). `optimize` calibrates there, it is
+/// the default `profile_nodes` of `predict`, and a shard's learners fit
+/// their correctors against the model calibrated there.
 pub const PROFILE_NODES: usize = 3;
 
 pub(crate) fn eval_err(e: impl std::fmt::Display) -> ErrorReply {
@@ -41,7 +42,8 @@ pub(crate) fn eval_err(e: impl std::fmt::Display) -> ErrorReply {
 pub struct SimInputs {
     /// The spec's app.
     pub app: App,
-    /// `nodes` 36-core paper nodes of the spec's disk configuration.
+    /// `nodes` 36-core paper nodes of the spec's disk configuration, with
+    /// the dataset on the chosen storage.
     pub cluster: ClusterSpec,
     /// [`SparkConf::paper`] at the spec's cores and seed.
     pub conf: SparkConf,
